@@ -5,22 +5,22 @@ Subcommands: ``cca`` (correlations from two CSV panels), ``histogram``
 ``independence`` and ``coint`` (hypothesis tests), ``simulate`` (synthetic
 panels and VAR(1) series), ``tabulate`` (Monte Carlo quantile tables).
 
-Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error.  Reports
-are JSON on stdout or ``--output``; pass ``--no-timestamp`` for
-byte-identical reruns.  Quantile tables are cached on disk keyed by
-(statistic, parameters, nsamples, seed); the cache directory comes from
-``--table-cache-dir``, then ``$HDCCA_TABLE_DIR``, then ``~/.cache/hdcca``.
+Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error (one-line
+``hdcca.error/1`` JSON on stderr).  Reports are JSON on stdout or
+``--output``; pass ``--no-timestamp`` for byte-identical reruns.  Quantile
+tables live in one on-disk store (:func:`_table`), one file per identity
+(statistic, parameters, levels, nsamples, seed), checked on every read;
+``tabulate`` without ``--output`` pre-warms it.  The cache directory comes
+from ``--table-cache-dir``, then ``$HDCCA_TABLE_DIR``, then ``~/.cache/hdcca``.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,8 +30,8 @@ from . import cointegration, dataio, hyptest
 from .cca_core import sample_cca
 from .cointegration import VarModel
 from .ensembles import Seed
-from .errors import HdccaError
-from .hyptest import QuantileTable
+from .errors import HdccaError, InputFormatError, TableMismatch
+from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, STATISTIC_LAGUERRE_MAX, QuantileTable
 from .spike import simulate_spiked_panels
 from .wachter import WachterParams, pdf as wachter_pdf
 
@@ -98,50 +98,84 @@ def _emit(doc: dict, output_path: str | None) -> None:
 
 def _maybe_timestamp(doc: dict, config: RunConfig) -> dict:
     if config.include_timestamp:
-        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        doc["timestamp"] = hyptest._now()
     return doc
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)  # atomic: no partially written table is visible
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# Statistic id -> tabulator of (params, alphas, nsamples, seed).  Each entry
+# looks its function up in the module at call time, so a wrapper installed
+# on the module (the benchmark's tracer) sees every build.
+_TABULATORS = {
+    STATISTIC_LAGUERRE_MAX: lambda p, alphas, n, seed: hyptest.tabulate_laguerre_max(
+        p["K"], p["M"], alphas, n, seed
+    ),
+    STATISTIC_AIRY1_SUM: lambda p, alphas, n, seed: hyptest.tabulate_airy1_sums(
+        p["r"], alphas, p["sim_size"], n, seed
+    ),
+    STATISTIC_BROWNIAN_COINT: lambda p, alphas, n, seed: cointegration.tabulate_brownian_coint(
+        p["K"], p["r"], alphas, p["n_grid"], n, seed
+    ),
+}
 
 
-def _cached_table(config: RunConfig, build, statistic: str, params: dict, nsamples: int) -> QuantileTable:
+def _table(
+    config: RunConfig, statistic_id: str, params: dict, alphas: list[float], nsamples: int
+) -> tuple[QuantileTable, Path]:
+    """The stored table with this identity, tabulated and stored on a miss.
+
+    The file name is the statistic plus the first 24 hex digits of the
+    sha256 of the identity; a stored table that does not carry the
+    requested identity raises TableMismatch naming the file.
+    """
+    seed = config.seed
     key = json.dumps(
         {
-            "statistic": statistic,
-            "params": params,
+            "statistic": statistic_id,
+            "params": {**params, "alphas": alphas},
             "nsamples": nsamples,
-            "seed": [config.seed.value, config.seed.stream],
+            "seed": [seed.value, seed.stream],
         },
         sort_keys=True,
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    path = config.table_cache_dir / f"{statistic.lower()}-{digest}.json"
+    path = config.table_cache_dir / f"{statistic_id.lower()}-{digest}.json"
     if path.exists():
-        return QuantileTable.load(path)
-    table = build()
-    _atomic_write(path, table.dumps(include_timestamp=config.include_timestamp) + "\n")
-    return table
+        table = QuantileTable.load(path)
+        wanted = (statistic_id, params, alphas, nsamples, seed)
+        found = (
+            table.statistic_id,
+            {k: table.params.get(k) for k in params},
+            [a for a, _ in table.entries],
+            table.nsamples,
+            table.seed,
+        )
+        if found != wanted:
+            raise TableMismatch(f"{path}: stored table is {found}, request is {wanted}")
+        return table, path
+    table = _TABULATORS[statistic_id](params, alphas, nsamples, seed)
+    table.save(path, include_timestamp=config.include_timestamp)
+    return table, path
 
 
-def _alphas_with(alpha: float) -> list[float]:
-    return sorted(set(DEFAULT_ALPHAS) | {alpha})
-
-
-def _load_table_arg(args) -> QuantileTable | None:
-    if getattr(args, "table", None):
+def _test_table(args, config: RunConfig, statistic_id: str, params: dict) -> QuantileTable:
+    """The ``--table`` file if one is given, else the stored table at the default levels plus alpha."""
+    if args.table:
         return QuantileTable.load(args.table)
-    return None
+    alphas = sorted(set(DEFAULT_ALPHAS) | {config.alpha})
+    return _table(config, statistic_id, params, alphas, args.nsamples)[0]
+
+
+def _emit_report(config: RunConfig, report) -> int:
+    doc = {"schema": REPORT_SCHEMA, "command": config.command, **report.to_json_dict()}
+    _emit(_maybe_timestamp(doc, config), config.output_path)
+    return EXIT_REJECT if report.rejected else EXIT_OK
+
+
+def _floats(text: str, option: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise InputFormatError(f"{option} must be comma-separated numbers, got {text!r}") from None
 
 
 # --- subcommands -----------------------------------------------------------
@@ -204,74 +238,33 @@ def cmd_independence(args) -> int:
     config = _config_from_args(args)
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
-    table = _load_table_arg(args)
     if args.regime == "small":
-        if table is None:
-            k, m = sorted((U.rows, V.rows))
-            table = _cached_table(
-                config,
-                lambda: hyptest.tabulate_laguerre_max(
-                    k, m, _alphas_with(config.alpha), args.nsamples, config.seed
-                ),
-                hyptest.STATISTIC_LAGUERRE_MAX,
-                {"K": k, "M": m, "alphas": _alphas_with(config.alpha)},
-                args.nsamples,
-            )
+        k, m = sorted((U.rows, V.rows))
+        table = _test_table(args, config, STATISTIC_LAGUERRE_MAX, {"K": k, "M": m})
         report = hyptest.independence_test_small(U, V, config.alpha, table)
     else:
-        if table is None:
-            table = _cached_table(
-                config,
-                lambda: hyptest.tabulate_airy1_sums(
-                    1, _alphas_with(config.alpha), args.sim_size, args.nsamples, config.seed
-                ),
-                hyptest.STATISTIC_AIRY1_SUM,
-                {"r": 1, "sim_size": args.sim_size, "alphas": _alphas_with(config.alpha)},
-                args.nsamples,
-            )
+        table = _test_table(args, config, STATISTIC_AIRY1_SUM, {"r": 1, "sim_size": args.sim_size})
         report = hyptest.independence_test_large(U, V, config.alpha, table)
-    doc = {"schema": REPORT_SCHEMA, "command": "independence", **report.to_json_dict()}
-    _emit(_maybe_timestamp(doc, config), config.output_path)
-    return EXIT_REJECT if report.rejected else EXIT_OK
+    return _emit_report(config, report)
 
 
 def cmd_coint(args) -> int:
     config = _config_from_args(args)
     X = dataio.load_timeseries_csv(args.input)
-    table = _load_table_arg(args)
     if args.regime == "small":
-        if table is None:
-            table = _cached_table(
-                config,
-                lambda: cointegration.tabulate_brownian_coint(
-                    X.K, config.r, _alphas_with(config.alpha), args.n_grid, args.nsamples, config.seed
-                ),
-                hyptest.STATISTIC_BROWNIAN_COINT,
-                {"K": X.K, "r": config.r, "n_grid": args.n_grid, "alphas": _alphas_with(config.alpha)},
-                args.nsamples,
-            )
+        params = {"K": X.K, "r": config.r, "n_grid": args.n_grid}
+        table = _test_table(args, config, STATISTIC_BROWNIAN_COINT, params)
         report = cointegration.coint_test_small(X, config.r, config.alpha, table)
     else:
-        if table is None:
-            table = _cached_table(
-                config,
-                lambda: hyptest.tabulate_airy1_sums(
-                    config.r, _alphas_with(config.alpha), args.sim_size, args.nsamples, config.seed
-                ),
-                hyptest.STATISTIC_AIRY1_SUM,
-                {"r": config.r, "sim_size": args.sim_size, "alphas": _alphas_with(config.alpha)},
-                args.nsamples,
-            )
+        table = _test_table(args, config, STATISTIC_AIRY1_SUM, {"r": config.r, "sim_size": args.sim_size})
         report = cointegration.coint_test_large(X, config.r, config.alpha, table)
-    doc = {"schema": REPORT_SCHEMA, "command": "coint", **report.to_json_dict()}
-    _emit(_maybe_timestamp(doc, config), config.output_path)
-    return EXIT_REJECT if report.rejected else EXIT_OK
+    return _emit_report(config, report)
 
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     if args.kind == "panels":
-        rho2s = [float(x) for x in args.rho2.split(",")] if args.rho2 else []
+        rho2s = _floats(args.rho2, "--rho2") if args.rho2 else []
         U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, config.seed)
         dataio.save_panel_csv(args.output_u, U)
         dataio.save_panel_csv(args.output_v, V)
@@ -289,28 +282,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_tabulate(args) -> int:
     config = _config_from_args(args)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    if args.statistic == "laguerre-max":
-        if args.k is None or args.m is None:
-            raise HdccaError("tabulate laguerre-max needs --k and --m")
-        table = hyptest.tabulate_laguerre_max(args.k, args.m, alphas, args.nsamples, config.seed)
-    elif args.statistic == "airy1-sum":
-        table = hyptest.tabulate_airy1_sums(
-            config.r, alphas, args.sim_size, args.nsamples, config.seed
-        )
-    else:  # brownian-coint
-        if args.k is None:
-            raise HdccaError("tabulate brownian-coint needs --k")
-        table = cointegration.tabulate_brownian_coint(
-            args.k, config.r, alphas, args.n_grid, args.nsamples, config.seed
-        )
+    alphas = sorted(_floats(args.alphas, "--alphas"))
+    params = {
+        "laguerre-max": {"K": args.k, "M": args.m},
+        "airy1-sum": {"r": config.r, "sim_size": args.sim_size},
+        "brownian-coint": {"K": args.k, "r": config.r, "n_grid": args.n_grid},
+    }[args.statistic]
+    _require_options(f"tabulate {args.statistic}", {name.lower(): value for name, value in params.items()})
+    statistic_id = args.statistic.upper().replace("-", "_")
     if config.output_path:
+        table = _TABULATORS[statistic_id](params, alphas, args.nsamples, config.seed)
         table.save(config.output_path, include_timestamp=config.include_timestamp)
-        sys.stdout.write(str(config.output_path) + "\n")
+        path = config.output_path
     else:
-        path = config.table_cache_dir / f"{args.statistic}-{config.seed.value}-{config.seed.stream}.json"
-        _atomic_write(path, table.dumps(include_timestamp=config.include_timestamp) + "\n")
-        sys.stdout.write(str(path) + "\n")
+        path = _table(config, statistic_id, params, alphas, args.nsamples)[1]
+    sys.stdout.write(f"{path}\n")
     return EXIT_OK
 
 
@@ -415,14 +401,15 @@ def main(argv=None) -> int:
 
 
 def _validate_simulate_args(args) -> None:
-    if args.kind == "panels":
-        missing = [n for n in ("m", "s", "output_u", "output_v") if getattr(args, n) is None]
-        if missing:
-            raise HdccaError(f"simulate panels needs --{', --'.join(m.replace('_', '-') for m in missing)}")
-    else:
-        missing = [n for n in ("t", "output") if getattr(args, n) is None]
-        if missing:
-            raise HdccaError(f"simulate var1 needs --{', --'.join(m.replace('_', '-') for m in missing)}")
+    needed = ("m", "s", "output_u", "output_v") if args.kind == "panels" else ("t", "output")
+    _require_options(f"simulate {args.kind}", {n.replace("_", "-"): getattr(args, n) for n in needed})
+
+
+def _require_options(command: str, values: dict) -> None:
+    """Raise HdccaError naming every option in ``values`` (name -> parsed value) left unset."""
+    missing = [f"--{name}" for name, value in values.items() if value is None]
+    if missing:
+        raise HdccaError(f"{command} needs {', '.join(missing)}")
 
 
 if __name__ == "__main__":

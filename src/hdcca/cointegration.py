@@ -10,7 +10,6 @@ fluctuations, coupled to a Jacobi spectrum of matched parameters.
 
 from __future__ import annotations
 
-import datetime
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from .hyptest import (
     QuantileTable,
     TestReport,
     _empirical_quantiles,
+    _now,
     _require_statistic,
 )
 from .wachter import Spectrum
@@ -209,7 +209,7 @@ def tabulate_brownian_coint(
         entries=_empirical_quantiles(sums, alphas),
         nsamples=nsamples,
         seed=seed,
-        built_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        built_at=_now(),
     )
 
 
@@ -238,14 +238,8 @@ def coint_test_small(
         )
     statistic = trace_statistic(johansen_lambdas(X), r, X.T)
     threshold = -0.5 * table.threshold_for(alpha)
-    decision = "reject" if statistic < threshold else "fail_to_reject"
-    return TestReport(
-        statistic_value=statistic,
-        threshold=threshold,
-        alpha=alpha,
-        decision=decision,
-        regime="small_dim",
-        diagnostics={"K": X.K, "T": X.T, "r": r},
+    return TestReport.decide(
+        statistic, threshold, alpha, "small_dim", statistic < threshold, {"K": X.K, "T": X.T, "r": r}
     )
 
 
@@ -331,14 +325,9 @@ def coint_test_large(
     log_sum = float(np.sum(np.log1p(-spec.values[:r])))
     statistic = (log_sum - r * c1) / (K ** (-2.0 / 3.0) * c2)
     threshold = airy_table.threshold_for(alpha)
-    decision = "reject" if statistic > threshold else "fail_to_reject"
-    return TestReport(
-        statistic_value=statistic,
-        threshold=threshold,
-        alpha=alpha,
-        decision=decision,
-        regime="large_dim",
-        diagnostics={"K": K, "T": T, "r": r, "c1": c1, "c2": c2, "tau": tau},
+    return TestReport.decide(
+        statistic, threshold, alpha, "large_dim", statistic > threshold,
+        {"K": K, "T": T, "r": r, "c1": c1, "c2": c2, "tau": tau},
     )
 
 

@@ -17,6 +17,7 @@ stays deterministic under any schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 from typing import Callable
 
@@ -37,9 +38,9 @@ class Seed:
 
     def __post_init__(self):
         if not (0 <= int(self.value) < _U64):
-            raise ValueError(f"seed value must be a u64, got {self.value}")
+            raise ParameterRange(f"seed value must be a u64, got {self.value}")
         if not (0 <= int(self.stream) < _U64):
-            raise ValueError(f"seed stream must be a u64, got {self.stream}")
+            raise ParameterRange(f"seed stream must be a u64, got {self.stream}")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -224,8 +225,6 @@ DS_TEST_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
     "inv2": (lambda x: 1.0 / (2.0 - x), lambda x: 1.0 / (2.0 - x) ** 2),
 }
 
-_DS_SPECTRA_CACHE: dict[tuple, np.ndarray] = {}
-
 
 def _manova_sizes(params: JacobiParams) -> tuple[int, int]:
     """Panel widths (L, Q) realizing J(N; p, q) as a MANOVA matrix.
@@ -245,12 +244,13 @@ def _manova_sizes(params: JacobiParams) -> tuple[int, int]:
     return L, Q
 
 
+@lru_cache(maxsize=8)
 def _ds_spectra(params: JacobiParams, nsamples: int, seed: Seed) -> np.ndarray:
-    key = (params.N, params.p, params.q, nsamples, seed.value, seed.stream)
-    if key not in _DS_SPECTRA_CACHE:
-        L, Q = _manova_sizes(params)
-        _DS_SPECTRA_CACHE[key] = manova_spectra(params.N, L, Q, nsamples, seed)
-    return _DS_SPECTRA_CACHE[key]
+    """Memoized spectra shared by every test function; read-only for that reason."""
+    L, Q = _manova_sizes(params)
+    spectra = manova_spectra(params.N, L, Q, nsamples, seed)
+    spectra.setflags(write=False)
+    return spectra
 
 
 def ds_residual(

@@ -17,7 +17,10 @@ fixed seed regardless of scheduling.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,14 +111,34 @@ class QuantileTable:
 
     @classmethod
     def loads(cls, text: str) -> "QuantileTable":
-        return cls.from_json_dict(json.loads(text))
+        """Parse a table document; malformed input raises TableMismatch."""
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except TableMismatch:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise TableMismatch(f"malformed quantile table: {type(e).__name__}: {e}") from e
 
     def save(self, path, include_timestamp: bool = True) -> None:
-        Path(path).write_text(self.dumps(include_timestamp) + "\n")
+        """Write atomically, creating the directory: no reader sees a partial table."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(self.dumps(include_timestamp) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "QuantileTable":
-        return cls.loads(Path(path).read_text())
+        try:
+            return cls.loads(Path(path).read_text())
+        except (OSError, TableMismatch) as e:
+            raise TableMismatch(f"{path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -129,6 +152,14 @@ class TestReport:
     decision: str  # "reject" | "fail_to_reject"
     regime: str  # "small_dim" | "large_dim"
     diagnostics: dict = field(default_factory=dict)
+
+    @classmethod
+    def decide(
+        cls, statistic: float, threshold: float, alpha: float, regime: str, rejected: bool, diagnostics: dict
+    ) -> "TestReport":
+        """Report for a test whose rejection inequality evaluated to `rejected`."""
+        decision = "reject" if rejected else "fail_to_reject"
+        return cls(statistic, threshold, alpha, decision, regime, diagnostics)
 
     @property
     def rejected(self) -> bool:
@@ -146,6 +177,7 @@ class TestReport:
 
 
 def _now() -> str:
+    """UTC time in ISO 8601, for table `built_at` and report `timestamp` fields."""
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
@@ -153,6 +185,8 @@ def _empirical_quantiles(samples: np.ndarray, alphas) -> tuple:
     alphas = sorted(float(a) for a in alphas)
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise InvalidParams(f"levels must lie in (0, 1): {alphas}")
+    if len(samples) == 0:
+        raise InvalidParams("nsamples must be >= 1 to tabulate quantiles")
     qs = np.quantile(np.sort(samples), alphas)
     return tuple(zip(alphas, (float(q) for q in qs)))
 
@@ -178,9 +212,7 @@ def tabulate_laguerre_max(
     )
 
 
-_AIRY_SUMS_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _airy_partial_sums(
     sim_size: int, nsamples: int, seed: Seed, m_ratio: float, s_ratio: float
 ) -> np.ndarray:
@@ -190,11 +222,9 @@ def _airy_partial_sums(
     (1, m_ratio, s_ratio) is recentered at its bulk edge and rescaled by
     K^(2/3) c_plus^(2/3); edge universality makes the law of the top
     coordinates insensitive to the ratios, which mainly control the
-    finite-size error.  Memoized: every r shares one simulation.
+    finite-size error.  Memoized for the last few simulations, so every r
+    shares one; the returned array is read-only because callers share it.
     """
-    key = (sim_size, nsamples, seed.value, seed.stream, m_ratio, s_ratio)
-    if key in _AIRY_SUMS_CACHE:
-        return _AIRY_SUMS_CACHE[key]
     K = sim_size
     M = int(round(m_ratio * K))
     S = int(round(s_ratio * K))
@@ -206,7 +236,7 @@ def _airy_partial_sums(
     top = spectra[:, -r_top:][:, ::-1]
     rescaled = K ** (2.0 / 3.0) * c_plus ** (2.0 / 3.0) * (top - params.lambda_plus)
     sums = np.cumsum(rescaled, axis=1)
-    _AIRY_SUMS_CACHE[key] = sums
+    sums.setflags(write=False)
     return sums
 
 
@@ -271,14 +301,9 @@ def independence_test_small(
     top = float(sample_cca(U, V).correlations_sq[0])
     statistic = S * top
     threshold = table.threshold_for(alpha)
-    decision = "reject" if statistic > threshold else "fail_to_reject"
-    return TestReport(
-        statistic_value=statistic,
-        threshold=threshold,
-        alpha=alpha,
-        decision=decision,
-        regime="small_dim",
-        diagnostics={"K": U.rows, "M": V.rows, "S": S, "top_corr_sq": top},
+    return TestReport.decide(
+        statistic, threshold, alpha, "small_dim", statistic > threshold,
+        {"K": U.rows, "M": V.rows, "S": S, "top_corr_sq": top},
     )
 
 
@@ -313,19 +338,7 @@ def independence_test_large(
     c_plus = upper_edge_constant(params)
     statistic = K ** (2.0 / 3.0) * c_plus ** (2.0 / 3.0) * (top - params.lambda_plus)
     threshold = table.threshold_for(alpha)
-    decision = "reject" if statistic > threshold else "fail_to_reject"
-    return TestReport(
-        statistic_value=statistic,
-        threshold=threshold,
-        alpha=alpha,
-        decision=decision,
-        regime="large_dim",
-        diagnostics={
-            "K": K,
-            "M": M,
-            "S": S,
-            "top_corr_sq": top,
-            "lambda_plus": params.lambda_plus,
-            "c_plus": c_plus,
-        },
+    return TestReport.decide(
+        statistic, threshold, alpha, "large_dim", statistic > threshold,
+        {"K": K, "M": M, "S": S, "top_corr_sq": top, "lambda_plus": params.lambda_plus, "c_plus": c_plus},
     )

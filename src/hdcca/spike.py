@@ -23,6 +23,7 @@ from .errors import (
     AboveOne,
     BelowEdge,
     DimensionMismatch,
+    ParameterRange,
     PoleHit,
     Subcritical,
 )
@@ -264,8 +265,8 @@ def simulate_spiked_panels(
     rho2s = np.atleast_1d(np.asarray(rho2s, dtype=float))
     if len(rho2s) > min(K, M):
         raise DimensionMismatch(f"at most min(K, M) = {min(K, M)} signals can be planted")
-    if np.any(rho2s < 0.0) or np.any(rho2s > 1.0):
-        raise ValueError("planted squared correlations must lie in [0, 1]")
+    if not np.all((rho2s >= 0.0) & (rho2s <= 1.0)):
+        raise ParameterRange(f"planted squared correlations must lie in [0, 1], got {rho2s.tolist()}")
     rng = seed.generator()
     U = rng.standard_normal((K, S))
     V = rng.standard_normal((M, S))

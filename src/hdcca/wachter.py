@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -165,14 +166,9 @@ class _CdfTable:
         return self.lo + self.delta * np.sin(th) ** 2
 
 
-_CDF_CACHE: dict[tuple[float, float], _CdfTable] = {}
-
-
+@lru_cache(maxsize=8)
 def _table(params: WachterParams) -> _CdfTable:
-    key = (params.tau_k, params.tau_m)
-    if key not in _CDF_CACHE:
-        _CDF_CACHE[key] = _CdfTable(params)
-    return _CDF_CACHE[key]
+    return _CdfTable(params)
 
 
 def cdf(x, params: WachterParams):

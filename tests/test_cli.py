@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdcca import hyptest
 from hdcca.cli import main
 from hdcca.dataio import (
     load_panel_csv,
@@ -252,3 +253,128 @@ class TestPipelines:
             tmp_path,
         )
         assert code == 2
+
+
+def error_of(capsys) -> dict:
+    """The one-line error document main() wrote to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["schema"] == "hdcca.error/1"
+    return doc
+
+
+def small_panels(tmp_path):
+    u, v = tmp_path / "u.csv", tmp_path / "v.csv"
+    assert run_cli(
+        ["simulate", "panels", "--k", "2", "--m", "3", "--s", "100",
+         "--output-u", str(u), "--output-v", str(v)],
+        tmp_path,
+    ) == 0
+    return u, v
+
+
+class TestTableStore:
+    TABULATE_23 = ["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "200"]
+    PINNED_NAME = "laguerre_max-30b09888aa386e5c2cb73763.json"
+
+    def test_tables_of_different_dimensions_get_different_files(self, tmp_path):
+        assert run_cli(self.TABULATE_23, tmp_path) == 0
+        assert run_cli(
+            ["tabulate", "--statistic", "laguerre-max", "--k", "3", "--m", "5", "--nsamples", "200"], tmp_path
+        ) == 0
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    def test_file_name_is_the_identity_digest(self, tmp_path, capsys):
+        # K=2, M=3, alphas 0.9/0.95/0.99, nsamples 200, seed 0/0: the name
+        # earlier releases gave this table, so their caches still hit.
+        argv = [*self.TABULATE_23, "--alphas", "0.9,0.95,0.99", "--seed", "0", "--stream", "0"]
+        assert run_cli(argv, tmp_path) == 0
+        path = Path(capsys.readouterr().out.strip())
+        assert path.name == self.PINNED_NAME
+        assert path.parent == tmp_path / "cache"
+
+    def test_tabulate_prewarms_the_independence_table(self, tmp_path, capsys, monkeypatch):
+        assert run_cli([*self.TABULATE_23, "--alphas", "0.9,0.95,0.99"], tmp_path) == 0
+        table = QuantileTable.load(capsys.readouterr().out.strip())
+        u, v = small_panels(tmp_path)
+        before = sorted((tmp_path / "cache").iterdir())
+
+        def no_rebuild(*args):
+            raise AssertionError("the stored table was built again")
+
+        monkeypatch.setattr(hyptest, "tabulate_laguerre_max", no_rebuild)
+        out = tmp_path / "report.json"
+        code = run_cli(
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--nsamples", "200",
+             "--output", str(out)],
+            tmp_path,
+        )
+        assert code in (0, 3)
+        assert sorted((tmp_path / "cache").iterdir()) == before
+        assert json.loads(out.read_text())["threshold"] == table.threshold_for(0.95)
+
+    def test_edited_identity_raises_table_mismatch(self, tmp_path, capsys):
+        assert run_cli(self.TABULATE_23, tmp_path) == 0
+        path = Path(capsys.readouterr().out.strip())
+        doc = json.loads(path.read_text())
+        doc["seed"]["value"] = 1
+        path.write_text(json.dumps(doc))
+        u, v = small_panels(tmp_path)
+        code = run_cli(
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--nsamples", "200"], tmp_path
+        )
+        assert code == 2
+        err = error_of(capsys)
+        assert err["error"] == "TableMismatch"
+        assert str(path) in err["message"]
+
+
+class TestBadInput:
+    """Each bad input exits 2 with one line of hdcca.error/1 JSON on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["simulate", "var1", "--k", "2", "--t", "10", "--seed", "-1"], "ParameterRange"),
+            (["simulate", "var1", "--k", "2", "--t", "10", "--stream", "-1"], "ParameterRange"),
+            (["simulate", "panels", "--k", "2", "--m", "3", "--s", "20", "--rho2", "x"], "InputFormatError"),
+            (["simulate", "panels", "--k", "2", "--m", "3", "--s", "20", "--rho2", "1.5"], "ParameterRange"),
+            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "0"],
+             "InvalidParams"),
+            (["tabulate", "--statistic", "airy1-sum", "--nsamples", "0"], "InvalidParams"),
+            (["tabulate", "--statistic", "brownian-coint", "--k", "2", "--nsamples", "0"], "InvalidParams"),
+        ],
+        ids=["seed", "stream", "rho2-text", "rho2-range",
+             "nsamples-laguerre", "nsamples-airy", "nsamples-brownian"],
+    )
+    def test_argument(self, tmp_path, capsys, argv, error):
+        if argv[0] == "simulate":
+            argv = [*argv, *(f"--output{s}={tmp_path / ('out' + s)}" for s in ("", "-u", "-v"))]
+        assert run_cli(argv, tmp_path) == 2
+        assert error_of(capsys)["error"] == error
+
+    @pytest.mark.parametrize("text", ["not json", '{"version": 1}', "[1]"], ids=["text", "no-fields", "list"])
+    def test_malformed_table_file(self, tmp_path, capsys, text):
+        u, v = small_panels(tmp_path)
+        table = tmp_path / "table.json"
+        table.write_text(text)
+        code = run_cli(
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--table", str(table)], tmp_path
+        )
+        assert code == 2
+        err = error_of(capsys)
+        assert err["error"] == "TableMismatch"
+        assert str(table) in err["message"]
+
+    def test_corrupt_file_in_the_cache(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / TestTableStore.PINNED_NAME).write_text('{"version": 1, "statistic_id": "LAGUER')
+        u, v = small_panels(tmp_path)
+        code = run_cli(
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--nsamples", "200", "--seed", "0"],
+            tmp_path,
+        )
+        assert code == 2
+        assert error_of(capsys)["error"] == "TableMismatch"

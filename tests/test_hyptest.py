@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
+from hdcca import ensembles, hyptest, wachter
 from hdcca.cca_core import DataPanel
-from hdcca.ensembles import Seed
+from hdcca.ensembles import Seed, manova_spectra
 from hdcca.errors import InvalidRegime, TableMismatch
 from hdcca.hyptest import (
     QuantileTable,
@@ -121,6 +122,20 @@ class TestTabulateAiry1Sums:
     def test_size_floor_enforced(self):
         with pytest.raises(Exception):
             tabulate_airy1_sums(1, (0.5,), 50, 100, Seed(0))
+
+    def test_every_r_shares_one_bounded_memoized_simulation(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return manova_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(hyptest, "manova_spectra", counting)
+        tables = [tabulate_airy1_sums(r, (0.5,), 100, 50, Seed(30, 7)) for r in (1, 2, 3)]
+        assert len(calls) == 1
+        assert tables[0].entries[0][1] > tables[2].entries[0][1]
+        for memo in (hyptest._airy_partial_sums, ensembles._ds_spectra, wachter._table):
+            assert memo.cache_info().maxsize == 8
 
 
 class TestIndependenceLarge:
