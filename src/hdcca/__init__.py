@@ -1,6 +1,6 @@
 """High-dimensional canonical correlation analysis toolkit.
 
-Exact CCA with oracle cross-checks, random-matrix null ensembles, the
+Exact CCA, batched spectra of the random-matrix null ensembles, the
 Wachter limit law, spiked-signal detection and inversion, and classical
 plus high-dimensional cointegration tests calibrated by built-in Monte
 Carlo quantile tabulation.
@@ -13,8 +13,6 @@ from .cca_core import (
     alignment_angle,
     population_cca,
     sample_cca,
-    sample_cca_projector_oracle,
-    sequential_maximization_oracle,
 )
 from .cointegration import (
     CouplingReport,
@@ -38,9 +36,6 @@ from .ensembles import (
     ds_residual,
     jacobi_eigenvalue_logdensity,
     sample_gaussian_panel,
-    sample_laguerre_limit,
-    sample_manova,
-    sample_wishart,
 )
 from .hyptest import (
     QuantileTable,

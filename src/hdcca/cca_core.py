@@ -1,11 +1,12 @@
 """Deterministic canonical correlation analysis.
 
-The production route whitens each data panel with a Cholesky factor of its
-Gram matrix and reads correlations and vectors off a singular value
-decomposition of the whitened cross-Gram.  Two independent oracle routes
-(projector products and sequential constrained maximization) are provided
-for cross-validation on small instances, plus the population-covariance
-version and the subspace alignment angle.
+One whitened-SVD routine serves both the sample version (Cholesky factors
+of the panels' Gram matrices) and the population version (Cholesky factors
+of the covariance blocks): correlations and vectors are read off a singular
+value decomposition of the whitened cross block.  The subspace alignment
+angle completes the module.  The two independent oracle routes used to
+cross-validate it (projector products and sequential constrained
+maximization) live with the tests, in ``tests/oracles.py``.
 
 Conventions, fixed so results are deterministic:
 
@@ -29,17 +30,14 @@ from scipy.linalg import cholesky, solve_triangular
 from .errors import (
     ClippingError,
     DimensionMismatch,
-    NotConverged,
     RankDeficient,
     SingularCovariance,
     TooFewObservations,
     ZeroImage,
 )
-from .wachter import Spectrum
 
 DEFAULT_TOL = 1e-10
 CLUSTER_GAP = 1e-6
-_SEQ_MAX_ITER = 2000
 
 
 @dataclass(frozen=True)
@@ -192,6 +190,24 @@ def _canonical_signs(alphas: np.ndarray, betas: np.ndarray, corr: np.ndarray) ->
             flip_col(betas, j)
 
 
+def _whitened_svd(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray, clip_tol: float) -> CanonicalSystem:
+    """Canonical system from the SVD of Lu^-1 cross Lv^-T, Lu and Lv lower Cholesky factors.
+
+    Squared singular values are clipped with `clip_tol`; back-solved singular
+    vectors are the canonical vectors, signs fixed.
+    """
+    C = solve_triangular(Lu, cross, lower=True)
+    C = solve_triangular(Lv, C.T, lower=True).T
+    A, s, Bt = np.linalg.svd(C, full_matrices=True)
+    corr_sq = _clip_unit_interval(s**2, clip_tol)
+    alphas = solve_triangular(Lu.T, A, lower=False)
+    betas = solve_triangular(Lv.T, Bt.T, lower=False)
+    _canonical_signs(alphas, betas, np.sqrt(corr_sq))
+    return CanonicalSystem(
+        correlations_sq=corr_sq, alphas=alphas.T.copy(), betas=betas.T.copy()
+    )
+
+
 def sample_cca(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> CanonicalSystem:
     """Sample canonical correlations and vectors between two data panels.
 
@@ -210,161 +226,7 @@ def sample_cca(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> Canonica
         )
     Lu = _checked_cholesky(U.values @ U.values.T, tol, "U")
     Lv = _checked_cholesky(V.values @ V.values.T, tol, "V")
-    C = solve_triangular(Lu, U.values @ V.values.T, lower=True)
-    C = solve_triangular(Lv, C.T, lower=True).T
-    A, s, Bt = np.linalg.svd(C, full_matrices=True)
-    corr_sq = _clip_unit_interval(s**2, max(tol, 1e-12))
-    corr = np.sqrt(corr_sq)
-    alphas = solve_triangular(Lu.T, A, lower=False)
-    betas = solve_triangular(Lv.T, Bt.T, lower=False)
-    _canonical_signs(alphas, betas, corr)
-    return CanonicalSystem(
-        correlations_sq=corr_sq, alphas=alphas.T.copy(), betas=betas.T.copy()
-    )
-
-
-def sample_cca_projector_oracle(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Squared correlations via the product of orthogonal projectors.
-
-    Builds the S x S projectors onto the row spaces and reads eigenvalues
-    off the symmetrized product P_U P_V P_U, whose nonzero spectrum equals
-    that of P_U P_V.  Cross-validates :func:`sample_cca`; intended for
-    small S only.
-    """
-    if U.cols != V.cols:
-        raise DimensionMismatch(f"observation counts differ: {U.cols} vs {V.cols}")
-    K, M, S = U.rows, V.rows, U.cols
-    if K + M > S:
-        raise TooFewObservations(f"K + M = {K + M} > S = {S}")
-    _checked_cholesky(U.values @ U.values.T, tol, "U")
-    _checked_cholesky(V.values @ V.values.T, tol, "V")
-
-    def projector(X: np.ndarray) -> np.ndarray:
-        G = X @ X.T
-        P = X.T @ np.linalg.solve(G, X)
-        return 0.5 * (P + P.T)
-
-    Pu = projector(U.values)
-    Pv = projector(V.values)
-    prod = Pu @ Pv @ Pu
-    w = np.linalg.eigvalsh(0.5 * (prod + prod.T))[::-1]
-    vals = _clip_unit_interval(w[: min(K, M)], max(tol, 1e-12))
-    return Spectrum(values=vals, meta={"K": K, "M": M, "S": S})
-
-
-def _orthonormal_rowspace(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR of X^T: returns (Q, R) with columns of Q an orthonormal basis."""
-    Q, R = np.linalg.qr(X.T)
-    return Q, R
-
-
-def _project_off(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        x = x - np.dot(b, x) * b
-    return x
-
-
-def sequential_maximization_oracle(
-    U: DataPanel, V: DataPanel, restarts: int = 32
-) -> CanonicalSystem:
-    """Greedy constrained-maximization oracle for tiny instances (K, M <= 3).
-
-    Maximizes <u, v> over unit vectors of the two row spaces by alternating
-    projected ascent with random restarts, deflating past maximizers at
-    each step.  Restarts use a fixed internal RNG so the result is
-    deterministic.  Agrees with :func:`sample_cca` to ~1e-6 on correlations.
-    """
-    if U.rows > 3 or V.rows > 3:
-        raise DimensionMismatch("maximization oracle only supports K <= 3 and M <= 3")
-    if restarts < 16:
-        raise ValueError(f"need at least 16 restarts, got {restarts}")
-    if U.cols != V.cols:
-        raise DimensionMismatch(f"observation counts differ: {U.cols} vs {V.cols}")
-    K, M = U.rows, V.rows
-    if K + M > U.cols:
-        raise TooFewObservations(f"K + M = {K + M} > S = {U.cols}")
-    Qu, Ru = _orthonormal_rowspace(U.values)
-    Qv, Rv = _orthonormal_rowspace(V.values)
-    W = Qu.T @ Qv  # K x M, entries are inner products of basis vectors
-
-    rng = np.random.default_rng(1729)
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    corrs: list[float] = []
-    for _ in range(min(K, M)):
-        best = None
-        for _restart in range(restarts):
-            x = _feasible_unit(rng, K, xs)
-            y = _feasible_unit(rng, M, ys)
-            converged = False
-            f_old = -np.inf
-            for _it in range(_SEQ_MAX_ITER):
-                x_new = _ascend(W @ y, xs, x)
-                y_new = _ascend(W.T @ x_new, ys, y)
-                f = float(x_new @ W @ y_new)
-                if abs(f - f_old) < 1e-15 and (
-                    np.linalg.norm(x_new - x) < 1e-12 or abs(f) < 1e-12
-                ):
-                    x, y = x_new, y_new
-                    converged = True
-                    break
-                x, y, f_old = x_new, y_new, f
-            f = float(x @ W @ y)
-            if f < 0.0:
-                y, f = -y, -f
-            if converged and (best is None or f > best[0]):
-                best = (f, x, y)
-        if best is None:
-            raise NotConverged("projected ascent failed to converge in every restart")
-        corrs.append(best[0])
-        xs.append(best[1])
-        ys.append(best[2])
-
-    x_basis = _complete_basis(xs, K)
-    y_basis = _complete_basis(ys, M)
-    alphas = solve_triangular(Ru, np.column_stack(x_basis))
-    betas = solve_triangular(Rv, np.column_stack(y_basis))
-    corr = np.array(corrs)
-    order = np.argsort(-corr, kind="stable")
-    corr = corr[order]
-    n = len(corr)
-    alphas[:, :n] = alphas[:, order]
-    betas[:, :n] = betas[:, order]
-    _canonical_signs(alphas, betas, corr)
-    return CanonicalSystem(
-        correlations_sq=_clip_unit_interval(corr**2, 1e-9),
-        alphas=alphas.T.copy(),
-        betas=betas.T.copy(),
-    )
-
-
-def _feasible_unit(rng, dim, fixed):
-    for _ in range(64):
-        x = _project_off(rng.standard_normal(dim), fixed)
-        n = np.linalg.norm(x)
-        if n > 1e-8:
-            return x / n
-    raise NotConverged("could not draw a feasible unit vector")
-
-
-def _ascend(grad, fixed, fallback):
-    g = _project_off(grad, fixed)
-    n = np.linalg.norm(g)
-    if n < 1e-13:
-        return fallback  # flat direction: correlation ~ 0, stay feasible
-    return g / n
-
-
-def _complete_basis(vecs: list[np.ndarray], dim: int) -> list[np.ndarray]:
-    basis = [v.copy() for v in vecs]
-    for e in np.eye(dim):
-        if len(basis) == dim:
-            break
-        w = _project_off(e, basis)
-        n = np.linalg.norm(w)
-        if n > 1e-8:
-            basis.append(w / n)
-    return basis
+    return _whitened_svd(Lu, Lv, U.values @ V.values.T, max(tol, 1e-12))
 
 
 def population_cca(cov: CovarianceTriple) -> CanonicalSystem:
@@ -378,16 +240,7 @@ def population_cca(cov: CovarianceTriple) -> CanonicalSystem:
         Lv = cholesky(cov.lvv, lower=True)
     except np.linalg.LinAlgError as e:  # pragma: no cover - validated upstream
         raise SingularCovariance(str(e)) from e
-    C = solve_triangular(Lu, cov.luv, lower=True)
-    C = solve_triangular(Lv, C.T, lower=True).T
-    A, s, Bt = np.linalg.svd(C, full_matrices=True)
-    corr_sq = _clip_unit_interval(s**2, 1e-10)
-    alphas = solve_triangular(Lu.T, A, lower=False)
-    betas = solve_triangular(Lv.T, Bt.T, lower=False)
-    _canonical_signs(alphas, betas, np.sqrt(corr_sq))
-    return CanonicalSystem(
-        correlations_sq=corr_sq, alphas=alphas.T.copy(), betas=betas.T.copy()
-    )
+    return _whitened_svd(Lu, Lv, cov.luv, 1e-10)
 
 
 def alignment_angle(U: DataPanel, a_ref: np.ndarray, a_hat: np.ndarray) -> float:

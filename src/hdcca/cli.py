@@ -303,6 +303,16 @@ def cmd_tabulate(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors raise InputFormatError, reported by ``main`` as one-line JSON.
+
+    Subcommand parsers are built from the parent's class, so this covers them too.
+    """
+
+    def error(self, message):
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed value")
     p.add_argument("--stream", type=int, default=0, help="RNG stream index")
@@ -312,7 +322,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hdcca",
         description="High-dimensional canonical correlation analysis toolkit",
     )

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cholesky
 
 from .cca_core import DataPanel, sample_cca
-from .ensembles import Seed, manova_spectra
+from .ensembles import Seed, _fill_blocks, manova_spectra
 from .errors import (
     DimensionMismatch,
     InvalidParams,
@@ -32,8 +32,6 @@ from .hyptest import (
     STATISTIC_BROWNIAN_COINT,
     QuantileTable,
     TestReport,
-    _empirical_quantiles,
-    _now,
     _require_statistic,
 )
 from .wachter import Spectrum
@@ -165,34 +163,30 @@ def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
     return float(T / 2.0 * np.sum(np.log1p(-vals[:r])))
 
 
-def simulate_brownian_null(
-    K: int, n_grid: int, nsamples: int, seed: Seed, block: int = 256
-) -> np.ndarray:
+def simulate_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np.ndarray:
     """Samples of the Brownian functional eigenvalues (nu_1 >= ... >= nu_K).
 
     Discretizes K independent standard Brownian motions on n_grid steps;
     the stochastic integrals use left-point sums (the Ito convention;
     midpoint rules would converge to a different object) and the quadratic
     functionals use left-point Riemann sums.  Returns an (nsamples, K)
-    array, rows descending.
+    array, rows descending, drawn 256 at a time.
     """
     if n_grid < 100:
         raise InvalidParams(f"n_grid must be >= 100, got {n_grid}")
-    rng = seed.generator()
-    out = np.empty((nsamples, K))
-    done = 0
-    while done < nsamples:
-        b = min(block, nsamples - done)
-        dB = rng.standard_normal((b, K, n_grid)) / math.sqrt(n_grid)
-        B = np.cumsum(dB, axis=2)
-        Blag = np.concatenate([np.zeros((b, K, 1)), B[:, :, :-1]], axis=2)
-        C = dB @ np.swapaxes(Blag, 1, 2)  # C[i,j] = sum_l Blag_j dB_i
-        V = Blag @ np.swapaxes(Blag, 1, 2) / n_grid
-        M = C @ np.linalg.solve(V, np.swapaxes(C, 1, 2))
-        w = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
-        out[done : done + b] = w[:, ::-1]
-        done += b
-    return out
+
+    def blocks(rng: np.random.Generator, sizes: list[int]):
+        for b in sizes:
+            dB = rng.standard_normal((b, K, n_grid)) / math.sqrt(n_grid)
+            B = np.cumsum(dB, axis=2)
+            Blag = np.concatenate([np.zeros((b, K, 1)), B[:, :, :-1]], axis=2)
+            C = dB @ np.swapaxes(Blag, 1, 2)  # C[i,j] = sum_l Blag_j dB_i
+            V = Blag @ np.swapaxes(Blag, 1, 2) / n_grid
+            M = C @ np.linalg.solve(V, np.swapaxes(C, 1, 2))
+            w = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
+            yield w[:, ::-1]
+
+    return _fill_blocks(nsamples, K, 256, seed, blocks)
 
 
 def tabulate_brownian_coint(
@@ -203,14 +197,8 @@ def tabulate_brownian_coint(
         raise InvalidParams(f"need 1 <= r <= K, got r={r}, K={K}")
     nu = simulate_brownian_null(K, n_grid, nsamples, seed)
     sums = np.sum(nu[:, :r], axis=1)
-    return QuantileTable(
-        statistic_id=STATISTIC_BROWNIAN_COINT,
-        params={"K": K, "r": r, "n_grid": n_grid},
-        entries=_empirical_quantiles(sums, alphas),
-        nsamples=nsamples,
-        seed=seed,
-        built_at=_now(),
-    )
+    params = {"K": K, "r": r, "n_grid": n_grid}
+    return QuantileTable.from_samples(STATISTIC_BROWNIAN_COINT, params, sums, alphas, seed)
 
 
 def coint_test_small(

@@ -1,17 +1,19 @@
 """Seedable samplers for the classical random-matrix ensembles.
 
-Gaussian data panels, Wishart (Laguerre) and MANOVA/Jacobi matrices, the
-Laguerre small-dimension scaling limit, the exact Jacobi eigenvalue
-log-density, and a Monte Carlo validator for the loop (Dyson-Schwinger)
+Gaussian data panels; batched spectra of Wishart (Laguerre) and
+MANOVA/Jacobi matrices, one sampler per ensemble, which also give the
+Laguerre small-dimension scaling limit; the exact Jacobi eigenvalue
+log-density; and a Monte Carlo validator for the loop (Dyson-Schwinger)
 equation of the Jacobi eigenvalue ensemble.
 
 Randomness is derived from an explicit :class:`Seed`.  A fixed
 ``(value, stream)`` pair reproduces output bit-for-bit on one build: the
 generator is numpy's PCG64 seeded through ``SeedSequence(entropy=value,
 spawn_key=(stream,))`` and normal variates use ``standard_normal``
-(ziggurat).  Replicated loops draw block ``index`` from
-``spawn_key=(stream, index)`` so parallel tabulation over disjoint blocks
-stays deterministic under any schedule.
+(ziggurat).  The spectra samplers fill their rows block by block from that
+one generator (:func:`_fill_blocks`).  Replicated loops draw replicate
+``index`` from ``spawn_key=(stream, index)`` so they stay deterministic
+under any schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .cca_core import DataPanel
-from .errors import DimensionMismatch, OutOfSimplex, ParameterRange
+from .errors import DimensionMismatch, InvalidParams, OutOfSimplex, ParameterRange
 
 _U64 = 2**64
 
@@ -76,14 +78,6 @@ def sample_gaussian_panel(K: int, S: int, seed: Seed) -> DataPanel:
     return DataPanel(seed.generator().standard_normal((K, S)))
 
 
-def sample_wishart(K: int, L: int, seed: Seed) -> np.ndarray:
-    """Z Z^T for a K x L standard normal Z; requires L >= K."""
-    if L < K:
-        raise DimensionMismatch(f"Wishart needs L >= K, got K={K}, L={L}")
-    Z = seed.generator().standard_normal((K, L))
-    return Z @ Z.T
-
-
 def _inv_sqrt_psd(W: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     """Inverse symmetric square root via eigen-decomposition.
 
@@ -96,88 +90,66 @@ def _inv_sqrt_psd(W: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return (Q * (w[..., None, :] ** -0.5)) @ np.swapaxes(Q, -1, -2)
 
 
-def sample_manova(K: int, L: int, Q: int, seed: Seed) -> np.ndarray:
-    """One draw of the MANOVA matrix (ZZ^T + YY^T)^{-1/2} ZZ^T (...)^{-1/2}.
+def _auto_block(K: int, width: int) -> int:
+    """Draws per block keeping a block's K x width Gaussians near 4e6 floats (32 MB)."""
+    return max(1, min(4096, 4_000_000 // max(K * width, 1)))
 
-    Z is K x L and Y is K x Q, independent standard normal.  Requires
-    K <= L and K <= Q; the result is symmetric with spectrum in (0, 1).
+
+def _fill_blocks(n: int, K: int, block_size: int, seed: Seed, blocks: Callable) -> np.ndarray:
+    """(n, K) array of `n` draws from the generator ``blocks(rng, sizes)``, one row block per size.
+
+    Sizes are `block_size` but the last; one generator from `seed` feeds every block in order, so
+    the block size decides how the variates split between a block's arrays.  A generator,
+    unlike a function per block, keeps one block's arrays alive while the next is drawn, so
+    their memory is reused rather than released and faulted in again.
     """
-    if K > L or K > Q:
-        raise DimensionMismatch(f"MANOVA needs K <= L and K <= Q, got K={K}, L={L}, Q={Q}")
-    rng = seed.generator()
-    return _manova_from_rng(K, L, Q, rng)
+    if n < 1:
+        raise InvalidParams(f"nsamples must be >= 1, got {n}")
+    sizes = [min(block_size, n - start) for start in range(0, n, block_size)]
+    out = np.empty((n, K))
+    done = 0
+    for rows in blocks(seed.generator(), sizes):
+        out[done : done + len(rows)] = rows
+        done += len(rows)
+    return out
 
 
-def _manova_from_rng(K: int, L: int, Q: int, rng: np.random.Generator) -> np.ndarray:
-    Z = rng.standard_normal((K, L))
-    Y = rng.standard_normal((K, Q))
-    A = Z @ Z.T
-    R = _inv_sqrt_psd(A + Y @ Y.T)
-    M = R @ A @ R
-    return 0.5 * (M + M.T)
-
-
-def _auto_block(K: int, width: int, target_floats: int = 4_000_000) -> int:
-    return max(1, min(4096, target_floats // max(K * width, 1)))
-
-
-def manova_spectra(
-    K: int, L: int, Q: int, n: int, seed: Seed, block: int | None = None
-) -> np.ndarray:
+def manova_spectra(K: int, L: int, Q: int, n: int, seed: Seed) -> np.ndarray:
     """Eigenvalues (ascending per row) of `n` independent MANOVA draws.
 
-    Batched helper for Monte Carlo tabulation; one row per draw, computed
-    blockwise with stacked matrix operations.  Block size is chosen to
-    keep temporaries around 32 MB unless overridden.
+    A draw is the spectrum, in (0, 1), of (ZZ^T + YY^T)^{-1/2} ZZ^T (...)^{-1/2}
+    for standard normal Z (K x L) and Y (K x Q), K <= L and K <= Q.
     """
     if K > L or K > Q:
         raise DimensionMismatch(f"MANOVA needs K <= L and K <= Q, got K={K}, L={L}, Q={Q}")
-    if block is None:
-        block = _auto_block(K, L + Q)
-    rng = seed.generator()
-    out = np.empty((n, K))
-    done = 0
-    while done < n:
-        b = min(block, n - done)
-        Z = rng.standard_normal((b, K, L))
-        Y = rng.standard_normal((b, K, Q))
-        A = Z @ np.swapaxes(Z, -1, -2)
-        R = _inv_sqrt_psd(A + Y @ np.swapaxes(Y, -1, -2))
-        M = R @ A @ R
-        out[done : done + b] = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
-        done += b
-    return out
+
+    def blocks(rng: np.random.Generator, sizes: list[int]):
+        for b in sizes:
+            Z = rng.standard_normal((b, K, L))
+            Y = rng.standard_normal((b, K, Q))
+            A = Z @ np.swapaxes(Z, -1, -2)
+            R = _inv_sqrt_psd(A + Y @ np.swapaxes(Y, -1, -2))
+            M = R @ A @ R
+            yield np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
+
+    return _fill_blocks(n, K, _auto_block(K, L + Q), seed, blocks)
 
 
-def laguerre_spectra(
-    K: int, M: int, n: int, seed: Seed, block: int | None = None
-) -> np.ndarray:
-    """Eigenvalues (ascending per row) of `n` independent K x M Wishart draws."""
-    if M < K:
-        raise DimensionMismatch(f"Wishart needs M >= K, got K={K}, M={M}")
-    if block is None:
-        block = _auto_block(K, M)
-    rng = seed.generator()
-    out = np.empty((n, K))
-    done = 0
-    while done < n:
-        b = min(block, n - done)
-        Z = rng.standard_normal((b, K, M))
-        out[done : done + b] = np.linalg.eigvalsh(Z @ np.swapaxes(Z, -1, -2))
-        done += b
-    return out
+def laguerre_spectra(K: int, M: int, n: int, seed: Seed) -> np.ndarray:
+    """Eigenvalues (ascending per row) of `n` independent K x M Wishart draws.
 
-
-def sample_laguerre_limit(K: int, M: int, seed: Seed) -> np.ndarray:
-    """Descending eigenvalues of a K x M Wishart matrix.
-
-    This is the limit law of S times the squared sample canonical
-    correlations when K and M stay fixed and S grows.
+    With K and M fixed, the descending row is the limit law of S times the
+    squared sample canonical correlations as S grows.
     """
     if M < K:
-        raise DimensionMismatch(f"need M >= K, got K={K}, M={M}")
-    w = np.linalg.eigvalsh(sample_wishart(K, M, seed))
-    return w[::-1].copy()
+        raise DimensionMismatch(f"Wishart needs M >= K, got K={K}, M={M}")
+
+    def blocks(rng: np.random.Generator, sizes: list[int]):
+        for b in sizes:
+            Z = rng.standard_normal((b, K, M))
+            yield np.linalg.eigvalsh(Z @ np.swapaxes(Z, -1, -2))
+
+    return _fill_blocks(n, K, _auto_block(K, M), seed, blocks)
 
 
 def jacobi_eigenvalue_logdensity(x: np.ndarray, params: JacobiParams) -> float:

@@ -9,9 +9,8 @@ tabulated quantiles of partial sums of the Airy_1 point process (the
 r = 1 marginal is the Tracy-Widom F_1 law), themselves obtained by
 rescaling the top eigenvalues of a large simulated MANOVA spectrum.
 
-Tabulation is organized in replicate blocks with per-block generator
-streams and a deterministic merge, so results are reproducible for a
-fixed seed regardless of scheduling.
+Tabulation draws its samples block by block from the one generator of its
+seed, so a fixed seed reproduces every table bit for bit.
 """
 
 from __future__ import annotations
@@ -71,6 +70,11 @@ class QuantileTable:
             raise TableMismatch("quantiles must be nondecreasing in alpha")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "params", dict(self.params))
+
+    @classmethod
+    def from_samples(cls, statistic_id: str, params: dict, samples, alphas, seed: Seed) -> "QuantileTable":
+        """Table of the empirical `alphas`-quantiles of Monte Carlo `samples`, stamped now."""
+        return cls(statistic_id, params, _empirical_quantiles(samples, alphas), len(samples), seed, _now())
 
     def threshold_for(self, alpha: float) -> float:
         for a, q in self.entries:
@@ -185,8 +189,6 @@ def _empirical_quantiles(samples: np.ndarray, alphas) -> tuple:
     alphas = sorted(float(a) for a in alphas)
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise InvalidParams(f"levels must lie in (0, 1): {alphas}")
-    if len(samples) == 0:
-        raise InvalidParams("nsamples must be >= 1 to tabulate quantiles")
     qs = np.quantile(np.sort(samples), alphas)
     return tuple(zip(alphas, (float(q) for q in qs)))
 
@@ -202,14 +204,7 @@ def tabulate_laguerre_max(
     if not 1 <= K <= M:
         raise InvalidParams(f"need 1 <= K <= M, got K={K}, M={M}")
     top = laguerre_spectra(K, M, nsamples, seed)[:, -1]
-    return QuantileTable(
-        statistic_id=STATISTIC_LAGUERRE_MAX,
-        params={"K": K, "M": M},
-        entries=_empirical_quantiles(top, alphas),
-        nsamples=nsamples,
-        seed=seed,
-        built_at=_now(),
-    )
+    return QuantileTable.from_samples(STATISTIC_LAGUERRE_MAX, {"K": K, "M": M}, top, alphas, seed)
 
 
 @functools.lru_cache(maxsize=8)
@@ -260,19 +255,8 @@ def tabulate_airy1_sums(
     if sim_size < 100:
         raise InvalidParams(f"sim_size must be >= 100, got {sim_size}")
     sums = _airy_partial_sums(sim_size, nsamples, seed, m_ratio, s_ratio)
-    return QuantileTable(
-        statistic_id=STATISTIC_AIRY1_SUM,
-        params={
-            "r": r_max,
-            "sim_size": sim_size,
-            "m_ratio": m_ratio,
-            "s_ratio": s_ratio,
-        },
-        entries=_empirical_quantiles(sums[:, r_max - 1], alphas),
-        nsamples=nsamples,
-        seed=seed,
-        built_at=_now(),
-    )
+    params = {"r": r_max, "sim_size": sim_size, "m_ratio": m_ratio, "s_ratio": s_ratio}
+    return QuantileTable.from_samples(STATISTIC_AIRY1_SUM, params, sums[:, r_max - 1], alphas, seed)
 
 
 def _require_statistic(table: QuantileTable, statistic_id: str) -> None:

@@ -9,8 +9,6 @@ from hdcca.cca_core import (
     alignment_angle,
     population_cca,
     sample_cca,
-    sample_cca_projector_oracle,
-    sequential_maximization_oracle,
 )
 from hdcca.errors import (
     DimensionMismatch,
@@ -19,6 +17,7 @@ from hdcca.errors import (
     TooFewObservations,
     ZeroImage,
 )
+from oracles import sample_cca_projector_oracle, sequential_maximization_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -161,6 +160,15 @@ class TestPopulationCca:
         draws = np.linalg.cholesky(joint) @ rng.standard_normal((5, S))
         samp = sample_cca(DataPanel(draws[:2]), DataPanel(draws[2:])).correlations_sq
         np.testing.assert_allclose(samp, pop, atol=0.01)
+
+    def test_gram_blocks_reproduce_the_sample_route_exactly(self):
+        U, V = random_panels(22, 3, 5, 20)
+        u, v = U.values, V.values
+        pop = population_cca(CovarianceTriple(u @ u.T, v @ v.T, u @ v.T))
+        samp = sample_cca(U, V)
+        np.testing.assert_array_equal(pop.correlations_sq, samp.correlations_sq)
+        np.testing.assert_array_equal(pop.alphas, samp.alphas)
+        np.testing.assert_array_equal(pop.betas, samp.betas)
 
     def test_joint_block_must_be_psd(self):
         with pytest.raises(SingularCovariance):

@@ -344,15 +344,36 @@ class TestBadInput:
              "InvalidParams"),
             (["tabulate", "--statistic", "airy1-sum", "--nsamples", "0"], "InvalidParams"),
             (["tabulate", "--statistic", "brownian-coint", "--k", "2", "--nsamples", "0"], "InvalidParams"),
+            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "-1"],
+             "InvalidParams"),
+            (["tabulate", "--statistic", "airy1-sum", "--nsamples", "-1"], "InvalidParams"),
+            (["tabulate", "--statistic", "brownian-coint", "--k", "2", "--nsamples", "-1"], "InvalidParams"),
+            (["independence", "--regime", "small", "--nsamples", "-1"], "InvalidParams"),
+            (["simulate", "var1", "--k", "2", "--t", "5", "--seed", "x"], "InputFormatError"),
+            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "x"],
+             "InputFormatError"),
+            (["independence"], "InputFormatError"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
-             "nsamples-laguerre", "nsamples-airy", "nsamples-brownian"],
+             "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
+             "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
+             "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         if argv[0] == "simulate":
             argv = [*argv, *(f"--output{s}={tmp_path / ('out' + s)}" for s in ("", "-u", "-v"))]
+        if argv[0] == "independence":
+            u, v = small_panels(tmp_path)
+            argv = [*argv, "--u", str(u), "--v", str(v)]
         assert run_cli(argv, tmp_path) == 2
         assert error_of(capsys)["error"] == error
+
+    @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])
+    def test_help_still_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hdcca")
 
     @pytest.mark.parametrize("text", ["not json", '{"version": 1}', "[1]"], ids=["text", "no-fields", "list"])
     def test_malformed_table_file(self, tmp_path, capsys, text):

