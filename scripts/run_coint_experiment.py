@@ -8,6 +8,7 @@ test on each.
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
@@ -19,22 +20,10 @@ from hdcca import (
     coint_lambda_pm,
     coint_test_large,
     modified_lambdas,
-    pdf,
     simulate_var1,
     tabulate_airy1_sums,
 )
-
-
-def write_hist(path, vals, params, bins=40):
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    counts, _ = np.histogram(vals, bins=edges)
-    density = counts / (len(vals) * (edges[1] - edges[0]))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    overlay = np.asarray(pdf(centers, params))
-    with open(path, "w") as fh:
-        fh.write("bin_center,empirical_density,limit_density\n")
-        for row in zip(centers, density, overlay):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+from hdcca.dataio import histogram_csv
 
 
 def main() -> None:
@@ -56,7 +45,7 @@ def main() -> None:
     null_model = VarModel.pure_random_walk(K)
     X0 = simulate_var1(null_model, T, Seed(args.seed, 0))
     null_vals = modified_lambdas(X0).values
-    write_hist("coint_null_hist.csv", null_vals, params)
+    Path("coint_null_hist.csv").write_text(histogram_csv(null_vals, params, 40))
     rep0 = coint_test_large(X0, 1, 0.95, table)
     print(f"null run: top value {null_vals[0]:.5f}; decision {rep0.decision}")
 
@@ -65,7 +54,7 @@ def main() -> None:
     alt_model = VarModel(pi=pi, lam=np.eye(K), x0=np.zeros(K))
     X1 = simulate_var1(alt_model, T, Seed(args.seed, 1))
     alt_vals = modified_lambdas(X1).values
-    write_hist("coint_rank1_hist.csv", alt_vals, params)
+    Path("coint_rank1_hist.csv").write_text(histogram_csv(alt_vals, params, 40))
     rep1 = coint_test_large(X1, 1, 0.95, table)
     # the r = 1 statistic is (log(1 - top) - c1) / (K^(-2/3) c2): the edge-scaled distance
     print(

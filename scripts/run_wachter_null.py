@@ -7,8 +7,7 @@ overlay, and prints the Kolmogorov distance to the limit.
 """
 
 import argparse
-
-import numpy as np
+from pathlib import Path
 
 from hdcca import (
     DataPanel,
@@ -16,10 +15,10 @@ from hdcca import (
     Spectrum,
     WachterParams,
     ks_distance,
-    pdf,
     sample_cca,
     support,
 )
+from hdcca.dataio import histogram_csv
 
 
 def main() -> None:
@@ -37,16 +36,7 @@ def main() -> None:
     V = DataPanel(rng.standard_normal((args.m, args.s)))
     vals = sample_cca(U, V).correlations_sq
     params = WachterParams.from_dimensions(args.k, args.m, args.s)
-
-    edges = np.linspace(0.0, 1.0, args.bins + 1)
-    counts, _ = np.histogram(vals, bins=edges)
-    density = counts / (len(vals) * (edges[1] - edges[0]))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    overlay = np.asarray(pdf(centers, params))
-    with open(args.output, "w") as fh:
-        fh.write("bin_center,empirical_density,limit_density\n")
-        for row in zip(centers, density, overlay):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    Path(args.output).write_text(histogram_csv(vals, params, args.bins))
 
     spec = Spectrum(vals, meta={"K": args.k, "M": args.m, "S": args.s})
     lo, hi = support(params)

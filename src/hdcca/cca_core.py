@@ -152,13 +152,18 @@ def _clip_unit_interval(vals: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _checked_cholesky(G: np.ndarray, tol: float, side: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= tol * w[-1]:
+    """Lower Cholesky factor L of G; RankDeficient when some row keeps a share L[i, i]^2 / G[i, i]
+    <= tol of its squared norm outside the span of the rows before it (no row scaling changes it)."""
+    try:
+        L = cholesky(G, lower=True)
+    except np.linalg.LinAlgError as e:
+        raise RankDeficient(f"{side} Gram matrix is not positive definite: {e}") from e
+    share = np.min(np.diag(L) ** 2 / np.diag(G))
+    if share <= tol:
         raise RankDeficient(
-            f"{side} Gram matrix is rank-deficient within tol={tol} "
-            f"(eigenvalue ratio {w[0] / w[-1]:.3e})"
+            f"{side} Gram matrix is rank-deficient within tol={tol} (smallest row share {share:.3e})"
         )
-    return cholesky(G, lower=True)
+    return L
 
 
 def _canonical_signs(alphas: np.ndarray, betas: np.ndarray, corr: np.ndarray) -> None:

@@ -11,17 +11,18 @@ Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error (one-line
 tables live in one on-disk store (:func:`_table`), one file per identity
 (statistic, parameters, levels, nsamples, seed), checked on every read;
 ``tabulate`` without ``--output`` pre-warms it.  The cache directory comes
-from ``--table-cache-dir``, then ``$HDCCA_TABLE_DIR``, then ``~/.cache/hdcca``.
+from ``--table-cache-dir``, then ``$HDCCA_TABLE_DIR``, then
+``$XDG_CACHE_HOME/hdcca``, then ``~/.cache/hdcca``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .ensembles import Seed
 from .errors import HdccaError, InputFormatError, TableMismatch
 from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, STATISTIC_LAGUERRE_MAX, QuantileTable
 from .spike import simulate_spiked_panels
-from .wachter import WachterParams, pdf as wachter_pdf
+from .wachter import WachterParams
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -45,61 +46,27 @@ DEFAULT_ALPHAS = (0.9, 0.95, 0.99)
 DEFAULT_NSAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    command: str
-    output_path: str | None
-    seed: Seed
-    alpha: float
-    r: int
-    table_cache_dir: Path
-    histogram_bins: int
-    include_timestamp: bool
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise HdccaError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.histogram_bins < 5:
-            raise HdccaError(f"need at least 5 histogram bins, got {self.histogram_bins}")
+def _seed(args) -> Seed:
+    return Seed(args.seed, args.stream)
 
 
-def _default_cache_dir() -> Path:
-    env = os.environ.get("HDCCA_TABLE_DIR")
-    if env:
-        return Path(env)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "hdcca"
-
-
-def _config_from_args(args) -> RunConfig:
-    cache = Path(args.table_cache_dir) if getattr(args, "table_cache_dir", None) else _default_cache_dir()
-    return RunConfig(
-        command=args.command,
-        output_path=getattr(args, "output", None),
-        seed=Seed(getattr(args, "seed", 0), getattr(args, "stream", 0)),
-        alpha=getattr(args, "alpha", 0.95),
-        r=getattr(args, "r", 1),
-        table_cache_dir=cache,
-        histogram_bins=getattr(args, "bins", 40),
-        include_timestamp=not getattr(args, "no_timestamp", False),
-    )
-
-
-def _emit(doc: dict, output_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if output_path:
-        Path(output_path).write_text(text)
+def _write(text: str, output: str | None) -> None:
+    if output:
+        Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _maybe_timestamp(doc: dict, config: RunConfig) -> dict:
-    if config.include_timestamp:
+def _emit(doc: dict, args) -> None:
+    """Write a JSON document, stamped with the time unless ``--no-timestamp``."""
+    if not args.no_timestamp:
         doc["timestamp"] = hyptest._now()
-    return doc
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
+
+
+def _check_alpha(args) -> None:
+    if not 0.0 < args.alpha < 1.0:
+        raise HdccaError(f"alpha must lie in (0, 1), got {args.alpha}")
 
 
 # Statistic id -> tabulator of (params, alphas, nsamples, seed).  Each entry
@@ -118,30 +85,39 @@ _TABULATORS = {
 }
 
 
-def _table(
-    config: RunConfig, statistic_id: str, params: dict, alphas: list[float], nsamples: int
-) -> tuple[QuantileTable, Path]:
+def _tabulate(args, statistic_id: str, params: dict, alphas: list[float]) -> QuantileTable:
+    """A freshly built table; ``--no-timestamp`` leaves out its build time."""
+    table = _TABULATORS[statistic_id](params, alphas, args.nsamples, _seed(args))
+    return dataclasses.replace(table, built_at=None) if args.no_timestamp else table
+
+
+def _table(args, statistic_id: str, params: dict, alphas: list[float]) -> tuple[QuantileTable, Path]:
     """The stored table with this identity, tabulated and stored on a miss.
 
     The file name is the statistic plus the first 24 hex digits of the
     sha256 of the identity; a stored table that does not carry the
     requested identity raises TableMismatch naming the file.
     """
-    seed = config.seed
+    cache = Path(
+        args.table_cache_dir
+        or os.environ.get("HDCCA_TABLE_DIR")
+        or Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "hdcca"
+    )
+    seed = _seed(args)
     key = json.dumps(
         {
             "statistic": statistic_id,
             "params": {**params, "alphas": alphas},
-            "nsamples": nsamples,
+            "nsamples": args.nsamples,
             "seed": [seed.value, seed.stream],
         },
         sort_keys=True,
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    path = config.table_cache_dir / f"{statistic_id.lower()}-{digest}.json"
+    path = cache / f"{statistic_id.lower()}-{digest}.json"
     if path.exists():
         table = QuantileTable.load(path)
-        wanted = (statistic_id, params, alphas, nsamples, seed)
+        wanted = (statistic_id, params, alphas, args.nsamples, seed)
         found = (
             table.statistic_id,
             {k: table.params.get(k) for k in params},
@@ -152,22 +128,20 @@ def _table(
         if found != wanted:
             raise TableMismatch(f"{path}: stored table is {found}, request is {wanted}")
         return table, path
-    table = _TABULATORS[statistic_id](params, alphas, nsamples, seed)
-    table.save(path, include_timestamp=config.include_timestamp)
+    table = _tabulate(args, statistic_id, params, alphas)
+    table.save(path)
     return table, path
 
 
-def _test_table(args, config: RunConfig, statistic_id: str, params: dict) -> QuantileTable:
+def _test_table(args, statistic_id: str, params: dict) -> QuantileTable:
     """The ``--table`` file if one is given, else the stored table at the default levels plus alpha."""
     if args.table:
         return QuantileTable.load(args.table)
-    alphas = sorted(set(DEFAULT_ALPHAS) | {config.alpha})
-    return _table(config, statistic_id, params, alphas, args.nsamples)[0]
+    return _table(args, statistic_id, params, sorted(set(DEFAULT_ALPHAS) | {args.alpha}))[0]
 
 
-def _emit_report(config: RunConfig, report) -> int:
-    doc = {"schema": REPORT_SCHEMA, "command": config.command, **report.to_json_dict()}
-    _emit(_maybe_timestamp(doc, config), config.output_path)
+def _emit_report(args, report) -> int:
+    _emit({"schema": REPORT_SCHEMA, "command": args.command, **report.to_json_dict()}, args)
     return EXIT_REJECT if report.rejected else EXIT_OK
 
 
@@ -182,7 +156,6 @@ def _floats(text: str, option: str) -> list[float]:
 
 
 def cmd_cca(args) -> int:
-    config = _config_from_args(args)
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
     system = sample_cca(U, V, tol=args.tol)
@@ -205,12 +178,13 @@ def cmd_cca(args) -> int:
             "meta": {"K": U.rows, "M": V.rows, "S": U.cols},
         },
     }
-    _emit(_maybe_timestamp(doc, config), config.output_path)
+    _emit(doc, args)
     return EXIT_OK
 
 
 def cmd_histogram(args) -> int:
-    config = _config_from_args(args)
+    if args.bins < 5:
+        raise HdccaError(f"need at least 5 histogram bins, got {args.bins}")
     spec = dataio.load_spectrum_json(args.spectrum)
     if args.coint_tau is not None:
         params = WachterParams(tau_k=1.0 + args.coint_tau, tau_m=(1.0 + args.coint_tau) / 2.0)
@@ -218,54 +192,41 @@ def cmd_histogram(args) -> int:
         if args.tau_k is None or args.tau_m is None:
             raise HdccaError("histogram needs either --tau-k and --tau-m or --coint-tau")
         params = WachterParams(tau_k=args.tau_k, tau_m=args.tau_m)
-    edges = np.linspace(0.0, 1.0, config.histogram_bins + 1)
-    counts, _ = np.histogram(spec.values, bins=edges)
-    width = edges[1] - edges[0]
-    density = counts / (len(spec.values) * width)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    overlay = np.asarray(wachter_pdf(centers, params))
-    rows = [("bin_center", "empirical_density", "wachter_density")]
-    rows += [(repr(float(c)), repr(float(d)), repr(float(o))) for c, d, o in zip(centers, density, overlay)]
-    text = "\n".join(",".join(row) for row in rows) + "\n"
-    if config.output_path:
-        Path(config.output_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(dataio.histogram_csv(spec.values, params, args.bins), args.output)
     return EXIT_OK
 
 
 def cmd_independence(args) -> int:
-    config = _config_from_args(args)
+    _check_alpha(args)
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
     if args.regime == "small":
         k, m = sorted((U.rows, V.rows))
-        table = _test_table(args, config, STATISTIC_LAGUERRE_MAX, {"K": k, "M": m})
-        report = hyptest.independence_test_small(U, V, config.alpha, table)
+        table = _test_table(args, STATISTIC_LAGUERRE_MAX, {"K": k, "M": m})
+        report = hyptest.independence_test_small(U, V, args.alpha, table)
     else:
-        table = _test_table(args, config, STATISTIC_AIRY1_SUM, {"r": 1, "sim_size": args.sim_size})
-        report = hyptest.independence_test_large(U, V, config.alpha, table)
-    return _emit_report(config, report)
+        table = _test_table(args, STATISTIC_AIRY1_SUM, {"r": 1, "sim_size": args.sim_size})
+        report = hyptest.independence_test_large(U, V, args.alpha, table)
+    return _emit_report(args, report)
 
 
 def cmd_coint(args) -> int:
-    config = _config_from_args(args)
+    _check_alpha(args)
     X = dataio.load_timeseries_csv(args.input)
     if args.regime == "small":
-        params = {"K": X.K, "r": config.r, "n_grid": args.n_grid}
-        table = _test_table(args, config, STATISTIC_BROWNIAN_COINT, params)
-        report = cointegration.coint_test_small(X, config.r, config.alpha, table)
+        table = _test_table(args, STATISTIC_BROWNIAN_COINT, {"K": X.K, "r": args.r, "n_grid": args.n_grid})
+        report = cointegration.coint_test_small(X, args.r, args.alpha, table)
     else:
-        table = _test_table(args, config, STATISTIC_AIRY1_SUM, {"r": config.r, "sim_size": args.sim_size})
-        report = cointegration.coint_test_large(X, config.r, config.alpha, table)
-    return _emit_report(config, report)
+        table = _test_table(args, STATISTIC_AIRY1_SUM, {"r": args.r, "sim_size": args.sim_size})
+        report = cointegration.coint_test_large(X, args.r, args.alpha, table)
+    return _emit_report(args, report)
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
+    seed = _seed(args)
     if args.kind == "panels":
         rho2s = _floats(args.rho2, "--rho2") if args.rho2 else []
-        U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, config.seed)
+        U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, seed)
         dataio.save_panel_csv(args.output_u, U)
         dataio.save_panel_csv(args.output_v, V)
     else:  # var1
@@ -273,29 +234,27 @@ def cmd_simulate(args) -> int:
             pi = np.zeros((args.k, args.k))
             pi[0, 0] = -1.0
         else:
-            pi = cointegration.make_pi_rank_r(args.k, args.pi_rank, args.pi_scale, config.seed)
+            pi = cointegration.make_pi_rank_r(args.k, args.pi_rank, args.pi_scale, seed)
         model = VarModel(pi=pi, lam=np.eye(args.k), x0=np.zeros(args.k))
-        ts = cointegration.simulate_var1(model, args.t, Seed(config.seed.value, config.seed.stream + 1))
+        ts = cointegration.simulate_var1(model, args.t, Seed(seed.value, seed.stream + 1))
         dataio.save_timeseries_csv(args.output, ts)
     return EXIT_OK
 
 
 def cmd_tabulate(args) -> int:
-    config = _config_from_args(args)
     alphas = sorted(_floats(args.alphas, "--alphas"))
     params = {
         "laguerre-max": {"K": args.k, "M": args.m},
-        "airy1-sum": {"r": config.r, "sim_size": args.sim_size},
-        "brownian-coint": {"K": args.k, "r": config.r, "n_grid": args.n_grid},
+        "airy1-sum": {"r": args.r, "sim_size": args.sim_size},
+        "brownian-coint": {"K": args.k, "r": args.r, "n_grid": args.n_grid},
     }[args.statistic]
     _require_options(f"tabulate {args.statistic}", {name.lower(): value for name, value in params.items()})
     statistic_id = args.statistic.upper().replace("-", "_")
-    if config.output_path:
-        table = _TABULATORS[statistic_id](params, alphas, args.nsamples, config.seed)
-        table.save(config.output_path, include_timestamp=config.include_timestamp)
-        path = config.output_path
+    if args.output:
+        _tabulate(args, statistic_id, params, alphas).save(args.output)
+        path = args.output
     else:
-        path = _table(config, statistic_id, params, alphas, args.nsamples)[1]
+        path = _table(args, statistic_id, params, alphas)[1]
     sys.stdout.write(f"{path}\n")
     return EXIT_OK
 

@@ -23,17 +23,10 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     InvalidRegime,
-    TableMismatch,
     TooFewObservations,
     UnitCorrelation,
 )
-from .hyptest import (
-    STATISTIC_AIRY1_SUM,
-    STATISTIC_BROWNIAN_COINT,
-    QuantileTable,
-    TestReport,
-    _require_statistic,
-)
+from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, QuantileTable, TestReport
 from .wachter import Spectrum
 
 _SMALL_K_WARN = 10
@@ -211,12 +204,7 @@ def coint_test_small(
     statistic < -(1/2) q_alpha, i.e. when the likelihood ratio is large
     and negative.
     """
-    _require_statistic(table, STATISTIC_BROWNIAN_COINT)
-    if table.params.get("K") != X.K or table.params.get("r") != r:
-        raise TableMismatch(
-            f"table is for (K, r) = ({table.params.get('K')}, {table.params.get('r')}), "
-            f"test has ({X.K}, {r})"
-        )
+    table.require(STATISTIC_BROWNIAN_COINT, K=X.K, r=r)
     if X.K > _SMALL_K_WARN:
         warnings.warn(
             f"K = {X.K} > {_SMALL_K_WARN}: the fixed-K limit needs K much smaller "
@@ -290,11 +278,7 @@ def coint_test_large(
     statistic up: reject iff it exceeds the tabulated q_alpha of the sum
     of the top r Airy_1 coordinates.
     """
-    _require_statistic(airy_table, STATISTIC_AIRY1_SUM)
-    if airy_table.params.get("r") != r:
-        raise TableMismatch(
-            f"table is for r = {airy_table.params.get('r')}, test has r = {r}"
-        )
+    airy_table.require(STATISTIC_AIRY1_SUM, r=r)
     K, T = X.K, X.T
     if T <= 2 * K:
         raise InvalidRegime(f"need T > 2K, got K={K}, T={T}")

@@ -10,6 +10,10 @@ variables.
 Spectrum JSON: ``{"schema": "hdcca.spectrum/1", "values": [...],
 "meta": {...}}`` with values sorted descending in [0, 1].
 
+Histogram CSV: header ``bin_center,empirical_density,wachter_density``,
+then one row per equal-width bin over [0, 1]; fields are Python float
+reprs, so reruns are byte-identical.
+
 Parse errors carry the 1-based line number of the offending row.
 """
 
@@ -24,7 +28,7 @@ import numpy as np
 from .cca_core import DataPanel
 from .cointegration import TimeSeriesPanel
 from .errors import InputFormatError
-from .wachter import Spectrum
+from .wachter import Spectrum, WachterParams, pdf
 
 SPECTRUM_SCHEMA = "hdcca.spectrum/1"
 
@@ -136,3 +140,15 @@ def load_spectrum_json(path) -> Spectrum:
 
 def save_spectrum_json(path, spec: Spectrum) -> None:
     Path(path).write_text(json.dumps(spectrum_to_json_dict(spec), sort_keys=True) + "\n")
+
+
+def histogram_csv(values, params: WachterParams, bins: int) -> str:
+    """Area-normalized histogram of `values` over [0, 1] with the Wachter density at each bin center."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    counts, _ = np.histogram(values, bins=edges)
+    density = counts / (len(values) * (edges[1] - edges[0]))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    overlay = np.asarray(pdf(centers, params))
+    rows = [("bin_center", "empirical_density", "wachter_density")]
+    rows += [(repr(float(c)), repr(float(d)), repr(float(o))) for c, d, o in zip(centers, density, overlay)]
+    return "\n".join(",".join(row) for row in rows) + "\n"

@@ -47,6 +47,7 @@ class QuantileTable:
     ``entries`` are sorted by alpha with nondecreasing quantiles; the
     tabulation is pinned by (statistic_id, params, nsamples, seed), which
     also keys the on-disk cache.  Ship tables with nsamples >= 10^4.
+    A table whose ``built_at`` is None is written without that field.
     """
 
     statistic_id: str
@@ -84,7 +85,13 @@ class QuantileTable:
             f"level {alpha} not tabulated; available: {[a for a, _ in self.entries]}"
         )
 
-    def to_json_dict(self, include_timestamp: bool = True) -> dict:
+    def require(self, statistic_id: str, **params) -> None:
+        """Raise TableMismatch unless this is a `statistic_id` table with these `params`."""
+        found = (self.statistic_id, {k: self.params.get(k) for k in params})
+        if found != (statistic_id, params):
+            raise TableMismatch(f"table is {found}, test needs {(statistic_id, params)}")
+
+    def to_json_dict(self) -> dict:
         doc = {
             "version": TABLE_FORMAT_VERSION,
             "statistic_id": self.statistic_id,
@@ -93,7 +100,7 @@ class QuantileTable:
             "nsamples": self.nsamples,
             "entries": [{"alpha": a, "q": q} for a, q in self.entries],
         }
-        if include_timestamp and self.built_at is not None:
+        if self.built_at is not None:
             doc["built_at"] = self.built_at
         return doc
 
@@ -110,8 +117,8 @@ class QuantileTable:
             built_at=doc.get("built_at"),
         )
 
-    def dumps(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timestamp), sort_keys=True)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def loads(cls, text: str) -> "QuantileTable":
@@ -123,14 +130,14 @@ class QuantileTable:
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise TableMismatch(f"malformed quantile table: {type(e).__name__}: {e}") from e
 
-    def save(self, path, include_timestamp: bool = True) -> None:
+    def save(self, path) -> None:
         """Write atomically, creating the directory: no reader sees a partial table."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(self.dumps(include_timestamp) + "\n")
+                fh.write(self.dumps() + "\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -259,13 +266,6 @@ def tabulate_airy1_sums(
     return QuantileTable.from_samples(STATISTIC_AIRY1_SUM, params, sums[:, r_max - 1], alphas, seed)
 
 
-def _require_statistic(table: QuantileTable, statistic_id: str) -> None:
-    if table.statistic_id != statistic_id:
-        raise TableMismatch(
-            f"table is for {table.statistic_id!r}, test needs {statistic_id!r}"
-        )
-
-
 def independence_test_small(
     U: DataPanel, V: DataPanel, alpha: float, table: QuantileTable
 ) -> TestReport:
@@ -274,13 +274,8 @@ def independence_test_small(
     The table must be a LAGUERRE_MAX tabulation matching the panel
     dimensions (order-insensitive).
     """
-    _require_statistic(table, STATISTIC_LAGUERRE_MAX)
     k, m = sorted((U.rows, V.rows))
-    if (table.params.get("K"), table.params.get("M")) != (k, m):
-        raise TableMismatch(
-            f"table is for (K, M) = ({table.params.get('K')}, {table.params.get('M')}), "
-            f"panels have ({k}, {m})"
-        )
+    table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m)
     S = U.cols
     top = float(sample_cca(U, V).correlations_sq[0])
     statistic = S * top
@@ -301,9 +296,7 @@ def independence_test_large(
     tabulated top-coordinate (r = 1) edge law: reject iff it exceeds
     q_alpha.
     """
-    _require_statistic(table, STATISTIC_AIRY1_SUM)
-    if table.params.get("r") != 1:
-        raise TableMismatch(f"need the r = 1 edge table, got r = {table.params.get('r')}")
+    table.require(STATISTIC_AIRY1_SUM, r=1)
     if U.rows > V.rows:
         U, V = V, U
     K, M, S = U.rows, V.rows, U.cols

@@ -114,14 +114,12 @@ def predicted_angles(rho2: float, params: WachterParams) -> tuple[float, float]:
     return s_u, s_v
 
 
-def estimate_signals(
-    spec: Spectrum, params: WachterParams, edge_buffer: float = DEFAULT_EDGE_BUFFER
-) -> SpikeReport:
+def estimate_signals(spec: Spectrum, params: WachterParams) -> SpikeReport:
     """Scan a spectrum for outliers and invert each back to a signal.
 
     A value counts as a signal when it exceeds
-    ``lambda_plus + edge_buffer * K^(-2/3) * c_plus^(-2/3)``, i.e. the
-    buffer is measured on the edge-fluctuation scale; the default 2.0
+    ``lambda_plus + DEFAULT_EDGE_BUFFER * K^(-2/3) * c_plus^(-2/3)``, i.e.
+    the buffer is measured on the edge-fluctuation scale; its value 2.0
     keeps the null false-alarm rate around the upper percentiles of the
     edge law.  K comes from the spectrum's provenance metadata.  Inversion
     failures (implied strength above 1) propagate as ``AboveOne``.
@@ -131,7 +129,7 @@ def estimate_signals(
     K = int(spec.meta["K"])
     hi = params.lambda_plus
     c_plus = upper_edge_constant(params)
-    threshold = hi + edge_buffer * K ** (-2.0 / 3.0) * c_plus ** (-2.0 / 3.0)
+    threshold = hi + DEFAULT_EDGE_BUFFER * K ** (-2.0 / 3.0) * c_plus ** (-2.0 / 3.0)
     signals = []
     for val in spec.values:
         if val <= threshold:
@@ -176,8 +174,6 @@ def master_equation_residual(
     u_star: np.ndarray,
     v_star: np.ndarray,
     z: float,
-    alpha_hat: np.ndarray | None = None,
-    beta_hat: np.ndarray | None = None,
 ) -> float:
     """Residual of the exact rank-one update equation at a candidate z.
 
@@ -187,9 +183,7 @@ def master_equation_residual(
     equation built from inner products of u*, v* with the base canonical
     variables.  Returns |LHS - RHS|; exact augmented triplets give
     residuals at roundoff level, so the equation discriminates wrong z
-    values sharply.  ``alpha_hat`` / ``beta_hat`` are the triplet's
-    coefficient vectors; they are accepted for interface completeness and
-    shape-checked, but the equation itself only constrains z.
+    values sharply.
 
     Raises ``PoleHit`` when z collides with a base squared correlation
     whose coupling to u*, v* is not negligible.
@@ -203,10 +197,6 @@ def master_equation_residual(
     v_star = np.asarray(v_star, dtype=float).reshape(-1)
     if u_star.shape != (S,) or v_star.shape != (S,):
         raise DimensionMismatch(f"appended vectors must have length {S}")
-    if alpha_hat is not None and np.asarray(alpha_hat).reshape(-1).shape != (tildeU.rows + 1,):
-        raise DimensionMismatch("alpha_hat must have one coefficient per augmented U row")
-    if beta_hat is not None and np.asarray(beta_hat).reshape(-1).shape != (tildeV.rows + 1,):
-        raise DimensionMismatch("beta_hat must have one coefficient per augmented V row")
 
     base = sample_cca(tildeU, tildeV)
     Kt, Mt = tildeU.rows, tildeV.rows

@@ -223,10 +223,8 @@ def edge_constants(params: WachterParams) -> tuple[float, float]:
     lo, hi = params.lambda_minus, params.lambda_plus
     if params.tau_k == params.tau_m:
         raise DegenerateLowerEdge("tau_k == tau_m puts the lower edge at 0")
-    width = math.sqrt(hi - lo)
-    c_minus = params.tau_k / 2.0 * width / (lo * (1.0 - lo))
-    c_plus = params.tau_k / 2.0 * width / (hi * (1.0 - hi))
-    return c_minus, c_plus
+    c_minus = params.tau_k / 2.0 * math.sqrt(hi - lo) / (lo * (1.0 - lo))
+    return c_minus, upper_edge_constant(params)
 
 
 def upper_edge_constant(params: WachterParams) -> float:

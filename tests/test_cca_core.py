@@ -51,6 +51,15 @@ class TestSampleCca:
         with pytest.raises(RankDeficient):
             sample_cca(DataPanel([row, 2 * row]), DataPanel(np.random.default_rng(0).standard_normal((2, 8))))
 
+    def test_badly_scaled_row_keeps_the_spectrum(self):
+        # full rank at any row scale: the rank check must not read the scale
+        U, V = random_panels(0, 3, 2, 50)
+        scaled = U.values.copy()
+        scaled[0] *= 1e-6
+        np.testing.assert_allclose(
+            sample_cca(DataPanel(scaled), V).correlations_sq, sample_cca(U, V).correlations_sq, rtol=1e-9
+        )
+
     def test_too_few_observations(self):
         U, V = random_panels(1, 3, 3, 5)
         with pytest.raises(TooFewObservations):

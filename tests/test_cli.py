@@ -353,11 +353,14 @@ class TestBadInput:
             (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "x"],
              "InputFormatError"),
             (["independence"], "InputFormatError"),
+            (["independence", "--regime", "small", "--alpha", "1.5"], "HdccaError"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "3"], "HdccaError"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
-             "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime"],
+             "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
+             "alpha-range", "bins-floor"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         if argv[0] == "simulate":
@@ -365,6 +368,9 @@ class TestBadInput:
         if argv[0] == "independence":
             u, v = small_panels(tmp_path)
             argv = [*argv, "--u", str(u), "--v", str(v)]
+        if argv[0] == "histogram":
+            save_spectrum_json(tmp_path / "spec.json", Spectrum(np.array([0.5, 0.2])))
+            argv = [*argv, "--spectrum", str(tmp_path / "spec.json")]
         assert run_cli(argv, tmp_path) == 2
         assert error_of(capsys)["error"] == error
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,13 @@ from scipy.stats import chi2, kstest
 
 from hdcca import ensembles, hyptest, wachter
 from hdcca.cca_core import DataPanel
+from hdcca.cointegration import VarModel, coint_test_large, coint_test_small, simulate_var1
 from hdcca.ensembles import Seed, manova_spectra
 from hdcca.errors import InvalidRegime, TableMismatch
 from hdcca.hyptest import (
+    STATISTIC_AIRY1_SUM,
+    STATISTIC_BROWNIAN_COINT,
+    STATISTIC_LAGUERRE_MAX,
     QuantileTable,
     independence_test_large,
     independence_test_small,
@@ -31,8 +36,8 @@ class TestQuantileTable:
         assert QuantileTable.load(path) == laguerre_table_23
 
     def test_timestamp_can_be_omitted(self, laguerre_table_23):
-        doc = laguerre_table_23.dumps(include_timestamp=False)
-        assert "built_at" not in doc
+        assert laguerre_table_23.built_at is not None
+        assert "built_at" not in dataclasses.replace(laguerre_table_23, built_at=None).dumps()
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(TableMismatch):
@@ -43,6 +48,35 @@ class TestQuantileTable:
     def test_missing_level_is_a_mismatch(self, laguerre_table_23):
         with pytest.raises(TableMismatch):
             laguerre_table_23.threshold_for(0.5)
+
+
+    @pytest.mark.parametrize(
+        "test, statistic_id, params",
+        [
+            ("independence_small", STATISTIC_AIRY1_SUM, {"r": 1}),
+            ("independence_small", STATISTIC_LAGUERRE_MAX, {"K": 2, "M": 4}),
+            ("independence_large", STATISTIC_LAGUERRE_MAX, {"K": 2, "M": 3}),
+            ("independence_large", STATISTIC_AIRY1_SUM, {"r": 2}),
+            ("coint_small", STATISTIC_AIRY1_SUM, {"r": 1}),
+            ("coint_small", STATISTIC_BROWNIAN_COINT, {"K": 3, "r": 1}),
+            ("coint_large", STATISTIC_BROWNIAN_COINT, {"K": 2, "r": 1}),
+            ("coint_large", STATISTIC_AIRY1_SUM, {"r": 2}),
+        ],
+    )
+    def test_every_test_rejects_a_table_of_another_identity(self, test, statistic_id, params):
+        table = QuantileTable(statistic_id, params, ((0.95, 1.0),), 100, Seed(0))
+        U, V = simulate_spiked_panels(2, 3, 60, [], Seed(0))
+        X = simulate_var1(VarModel.pure_random_walk(2), 30, Seed(0))
+        run, needed = {
+            "independence_small": (lambda: independence_test_small(U, V, 0.95, table),
+                                   (STATISTIC_LAGUERRE_MAX, {"K": 2, "M": 3})),
+            "independence_large": (lambda: independence_test_large(U, V, 0.95, table), (STATISTIC_AIRY1_SUM, {"r": 1})),
+            "coint_small": (lambda: coint_test_small(X, 1, 0.95, table), (STATISTIC_BROWNIAN_COINT, {"K": 2, "r": 1})),
+            "coint_large": (lambda: coint_test_large(X, 1, 0.95, table), (STATISTIC_AIRY1_SUM, {"r": 1})),
+        }[test]
+        with pytest.raises(TableMismatch, match=statistic_id) as info:
+            run()
+        assert str(needed) in str(info.value)
 
 
 class TestTabulateLaguerreMax:
