@@ -18,10 +18,22 @@ Conventions, fixed so results are deterministic:
 * correlations closer than 1e-6 to a neighbour are flagged as clustered;
   the vectors inside a cluster are an arbitrary orthonormal basis of the
   cluster space and should not be compared individually.
+
+The sample kernel runs on one BLAS thread: numpy's and scipy's bundled
+OpenBLAS are switched to one thread around the Gram products,
+factorisations, solves and SVD, and switched back afterwards.  At these
+sizes, handing work between two threads costs more than it saves.  Set
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` to keep the library's own
+thread count instead.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +50,13 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 CLUSTER_GAP = 1e-6
+# (setter, getter) of the bundled OpenBLAS: numpy's 64-bit-integer build, then scipy's.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+# OpenBLAS reads these once, when it loads; a count set there is the user's choice.
+_USER_SET_THREADS = any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 @dataclass(frozen=True)
@@ -166,6 +185,64 @@ def _checked_cholesky(G: np.ndarray, tol: float, side: str) -> np.ndarray:
     return L
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(setter, getter) ctypes functions of each bundled OpenBLAS this process has loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                getter = getattr(lib, get_name)
+                getter.restype = ctypes.c_int
+                found.append((getattr(lib, set_name), getter))
+                break
+    return tuple(found)
+
+
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list = []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the previous counts on exit.
+
+    Does nothing when the user has set a thread count in the environment or
+    when no bundled OpenBLAS setter is loaded (MKL, a system BLAS).  The
+    count is process-wide, so nested or concurrent bodies share one switch:
+    the first to enter saves and sets it, the last to leave restores it.
+    """
+    global _blas_depth
+    calls = () if _USER_SET_THREADS else _openblas_threads()
+    if not calls:
+        yield
+        return
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved[:] = [get() for _, get in calls]
+            for set_threads, _ in calls:
+                set_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (set_threads, _), n in zip(calls, _blas_saved):
+                    set_threads(n)
+
+
 def _canonical_signs(alphas: np.ndarray, betas: np.ndarray, corr: np.ndarray) -> None:
     """Fix the +/- freedom in place.
 
@@ -174,25 +251,22 @@ def _canonical_signs(alphas: np.ndarray, betas: np.ndarray, corr: np.ndarray) ->
     product stays +c).  Zero-correlation pairs and unpaired completions
     flip independently, each by its own largest coordinate.
     """
+
+    def negative_peak(mat):
+        peak = np.argmax(np.abs(mat), axis=0)
+        return mat[peak, np.arange(mat.shape[1])] < 0.0
+
     n_pairs = len(corr)
+    flip_a, flip_b = negative_peak(alphas), negative_peak(betas)
+    flip_b[:n_pairs] = np.where(corr > 1e-8, flip_a[:n_pairs], flip_b[:n_pairs])
+    alphas[:, flip_a] = -alphas[:, flip_a]
+    betas[:, flip_b] = -betas[:, flip_b]
 
-    def flip_col(mat, i):
-        j = int(np.argmax(np.abs(mat[:, i])))
-        if mat[j, i] < 0.0:
-            mat[:, i] = -mat[:, i]
-            return True
-        return False
 
-    for i in range(alphas.shape[1]):
-        if i < n_pairs and corr[i] > 1e-8:
-            if flip_col(alphas, i):
-                betas[:, i] = -betas[:, i]
-        else:
-            flip_col(alphas, i)
-    # unpaired and zero-correlation beta columns flip independently
-    for j in range(betas.shape[1]):
-        if j >= n_pairs or corr[j] <= 1e-8:
-            flip_col(betas, j)
+def _whiten(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Lu^-1 cross Lv^-T, Lu and Lv lower Cholesky factors."""
+    C = solve_triangular(Lu, cross, lower=True)
+    return solve_triangular(Lv, C.T, lower=True).T
 
 
 def _whitened_svd(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray, clip_tol: float) -> CanonicalSystem:
@@ -201,9 +275,7 @@ def _whitened_svd(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray, clip_tol: f
     Squared singular values are clipped with `clip_tol`; back-solved singular
     vectors are the canonical vectors, signs fixed.
     """
-    C = solve_triangular(Lu, cross, lower=True)
-    C = solve_triangular(Lv, C.T, lower=True).T
-    A, s, Bt = np.linalg.svd(C, full_matrices=True)
+    A, s, Bt = np.linalg.svd(_whiten(Lu, Lv, cross), full_matrices=True)
     corr_sq = _clip_unit_interval(s**2, clip_tol)
     alphas = solve_triangular(Lu.T, A, lower=False)
     betas = solve_triangular(Lv.T, Bt.T, lower=False)
@@ -222,6 +294,12 @@ def sample_cca(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> Canonica
     are the canonical vectors.  Requires equal observation counts,
     K + M <= S, and both Gram matrices invertible within ``tol``.
     """
+    with _one_blas_thread():
+        return _whitened_svd(*_sample_factors(U, V, tol), max(tol, 1e-12))
+
+
+def _sample_factors(U: DataPanel, V: DataPanel, tol: float) -> tuple:
+    """Checked Cholesky factors of U U^T and V V^T, and the cross-Gram U V^T."""
     if U.cols != V.cols:
         raise DimensionMismatch(f"observation counts differ: {U.cols} vs {V.cols}")
     K, M, S = U.rows, V.rows, U.cols
@@ -231,7 +309,19 @@ def sample_cca(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> Canonica
         )
     Lu = _checked_cholesky(U.values @ U.values.T, tol, "U")
     Lv = _checked_cholesky(V.values @ V.values.T, tol, "V")
-    return _whitened_svd(Lu, Lv, U.values @ V.values.T, max(tol, 1e-12))
+    return Lu, Lv, U.values @ V.values.T
+
+
+def _sample_spectrum(U: DataPanel, V: DataPanel) -> np.ndarray:
+    """``sample_cca(U, V).correlations_sq`` without the canonical vectors.
+
+    The same checks, factors and whitening, then singular values only: no
+    back-solves and no sign fixing.  For callers that read only the
+    correlations.
+    """
+    with _one_blas_thread():
+        s = np.linalg.svd(_whiten(*_sample_factors(U, V, DEFAULT_TOL)), compute_uv=False)
+    return _clip_unit_interval(s**2, DEFAULT_TOL)
 
 
 def population_cca(cov: CovarianceTriple) -> CanonicalSystem:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky
 
-from .cca_core import DataPanel, sample_cca
+from .cca_core import DataPanel, _sample_spectrum
 from .ensembles import Seed, _fill_blocks, manova_spectra
 from .errors import (
     DimensionMismatch,
@@ -140,8 +140,7 @@ def johansen_lambdas(X: TimeSeriesPanel) -> Spectrum:
         raise TooFewObservations(f"need 2K <= T, got K={X.K}, T={X.T}")
     dX = np.diff(X.X, axis=1)
     lag = X.X[:, :-1]
-    cs = sample_cca(DataPanel(dX), DataPanel(lag))
-    return Spectrum(values=cs.correlations_sq, meta={"K": X.K, "T": X.T})
+    return Spectrum(values=_sample_spectrum(DataPanel(dX), DataPanel(lag)), meta={"K": X.K, "T": X.T})
 
 
 def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
@@ -236,8 +235,7 @@ def modified_lambdas(X: TimeSeriesPanel) -> Spectrum:
     detrended = lag - np.outer(X.X[:, T] - X.X[:, 0], trend)
     U = dX - dX.mean(axis=1, keepdims=True)
     V = detrended - detrended.mean(axis=1, keepdims=True)
-    cs = sample_cca(DataPanel(U), DataPanel(V))
-    return Spectrum(values=cs.correlations_sq, meta={"K": K, "T": T, "modified": True})
+    return Spectrum(values=_sample_spectrum(DataPanel(U), DataPanel(V)), meta={"K": K, "T": T, "modified": True})
 
 
 def coint_lambda_pm(tau: float) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cca_core import DataPanel, sample_cca
+from .cca_core import DataPanel, _sample_spectrum
 from .ensembles import Seed, laguerre_spectra, manova_spectra
 from .errors import InvalidParams, InvalidRegime, TableMismatch
 from .wachter import WachterParams, upper_edge_constant
@@ -277,7 +277,7 @@ def independence_test_small(
     k, m = sorted((U.rows, V.rows))
     table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m)
     S = U.cols
-    top = float(sample_cca(U, V).correlations_sq[0])
+    top = float(_sample_spectrum(U, V)[0])
     statistic = S * top
     threshold = table.threshold_for(alpha)
     return TestReport.decide(
@@ -311,7 +311,7 @@ def independence_test_large(
         params = WachterParams(tau_k=S / K, tau_m=S / M)
     except InvalidParams as e:
         raise InvalidRegime(f"plug-in ratios outside the valid region: {e}") from e
-    top = float(sample_cca(U, V).correlations_sq[0])
+    top = float(_sample_spectrum(U, V)[0])
     c_plus = upper_edge_constant(params)
     statistic = K ** (2.0 / 3.0) * c_plus ** (2.0 / 3.0) * (top - params.lambda_plus)
     threshold = table.threshold_for(alpha)

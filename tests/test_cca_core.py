@@ -1,11 +1,20 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdcca import cca_core
 from hdcca.cca_core import (
     CanonicalSystem,
     CovarianceTriple,
     DataPanel,
+    _one_blas_thread,
+    _sample_spectrum,
     alignment_angle,
     population_cca,
     sample_cca,
@@ -243,3 +252,160 @@ class TestInvariances:
             betas=np.eye(3),
         )
         assert cs.clustered.tolist() == [True, True, False]
+
+
+def mixed_panels(seed, K, M, S, shared):
+    """U spans K orthonormal directions, V spans M others; V's first row
+    leans toward U's first direction with correlation `shared` (0 for none).
+    Random row mixing keeps the coefficient vectors generic."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((S, S)))
+    Q = Q.T
+    v_rows = Q[K : K + M].copy()
+    v_rows[0] = shared * Q[0] + np.sqrt(1.0 - shared**2) * v_rows[0]
+    U = rng.standard_normal((K, K)) @ Q[:K]
+    V = rng.standard_normal((M, M)) @ v_rows
+    return DataPanel(U), DataPanel(V)
+
+
+def peak_coordinates(vectors):
+    """Largest-magnitude coordinate of each row."""
+    return vectors[np.arange(len(vectors)), np.argmax(np.abs(vectors), axis=1)]
+
+
+class TestCanonicalSigns:
+    @pytest.mark.parametrize(
+        "K, M, S, shared",
+        [(2, 4, 12, 0.6), (2, 3, 8, 0.0), (3, 5, 20, None), (4, 2, 9, 0.8), (1, 6, 10, 0.0)],
+        ids=["one-pair-more-v-rows", "all-zero", "generic-more-v-rows", "more-u-rows", "single-zero"],
+    )
+    def test_docstring_conventions(self, K, M, S, shared):
+        if shared is None:
+            U, V = random_panels(3, K, M, S)
+        else:
+            U, V = mixed_panels(11, K, M, S, shared)
+        cs = sample_cca(U, V)
+        n = min(K, M)
+        paired = cs.correlations > 1e-8
+        if shared is not None:
+            assert paired.sum() == (shared > 0)
+        # every alpha, paired or not, has a positive largest coordinate
+        assert np.all(peak_coordinates(cs.alphas) > 0)
+        # paired betas follow their alpha: the cross inner product is +c
+        u = U.values.T @ cs.alphas[:n].T
+        v = V.values.T @ cs.betas[:n].T
+        np.testing.assert_allclose(np.sum(u * v, axis=0)[paired], cs.correlations[paired], atol=1e-10)
+        # zero-correlation and unpaired betas flip by their own largest coordinate
+        unpaired = np.ones(M, dtype=bool)
+        unpaired[:n] = ~paired
+        assert np.all(peak_coordinates(cs.betas[unpaired]) > 0)
+
+
+class TestSampleSpectrum:
+    @staticmethod
+    def badly_scaled():
+        U, V = random_panels(0, 3, 2, 50)
+        scaled = U.values.copy()
+        scaled[0] *= 1e-6
+        return DataPanel(scaled), V
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_panels(1, 6, 6, 30),
+            lambda: random_panels(2, 4, 6, 10),
+            lambda: random_panels(3, 2, 3, 500),
+            lambda: random_panels(4, 5, 3, 12),
+            lambda: random_panels(5, 40, 60, 200),
+            lambda: TestSampleSpectrum.badly_scaled(),
+        ],
+        ids=["K=M", "K+M=S", "2x3x500", "K>M", "40x60x200", "badly-scaled-row"],
+    )
+    def test_matches_the_full_path(self, make):
+        U, V = make()
+        np.testing.assert_allclose(_sample_spectrum(U, V), sample_cca(U, V).correlations_sq, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "U, V, error",
+        [
+            (DataPanel(np.ones((1, 4))), DataPanel(np.eye(2, 5)), DimensionMismatch),
+            (*random_panels(1, 3, 3, 5), TooFewObservations),
+            (DataPanel([np.arange(8.0), 2 * np.arange(8.0)]), random_panels(0, 2, 2, 8)[1], RankDeficient),
+        ],
+        ids=["DimensionMismatch", "TooFewObservations", "RankDeficient"],
+    )
+    def test_raises_what_the_full_path_raises(self, U, V, error):
+        with pytest.raises(error) as full:
+            sample_cca(U, V)
+        with pytest.raises(error) as short:
+            _sample_spectrum(U, V)
+        assert str(short.value) == str(full.value)
+
+
+def blas_threads():
+    return [get() for _, get in cca_core._openblas_threads()]
+
+
+needs_openblas = pytest.mark.skipif(
+    not cca_core._openblas_threads(), reason="no bundled OpenBLAS thread setter is loaded"
+)
+
+
+@needs_openblas
+class TestOneBlasThread:
+    @pytest.fixture()
+    def two_threads(self, monkeypatch):
+        """Two BLAS threads and no user-set thread count; the old counts come back after."""
+        monkeypatch.setattr(cca_core, "_USER_SET_THREADS", False)
+        calls = cca_core._openblas_threads()
+        before = blas_threads()
+        for set_threads, _ in calls:
+            set_threads(2)
+        yield [2] * len(calls)
+        for (set_threads, _), n in zip(calls, before):
+            set_threads(n)
+
+    def test_body_runs_on_one_thread(self, two_threads):
+        with _one_blas_thread():
+            assert blas_threads() == [1] * len(two_threads)
+            with _one_blas_thread():
+                assert blas_threads() == [1] * len(two_threads)
+            assert blas_threads() == [1] * len(two_threads)
+        assert blas_threads() == two_threads
+
+    def test_count_restored_after_return_and_after_raise(self, two_threads):
+        U, V = random_panels(0, 4, 5, 30)
+        sample_cca(U, V)
+        _sample_spectrum(U, V)
+        assert blas_threads() == two_threads
+        row = np.arange(8.0)
+        with pytest.raises(RankDeficient):
+            sample_cca(DataPanel([row, 2 * row]), random_panels(0, 2, 2, 8)[1])
+        assert blas_threads() == two_threads
+
+    def test_does_nothing_without_a_setter(self, two_threads, monkeypatch):
+        calls = cca_core._openblas_threads()
+        monkeypatch.setattr(cca_core, "_openblas_threads", lambda: ())
+        with _one_blas_thread():
+            assert [get() for _, get in calls] == two_threads
+
+    def test_user_thread_count_is_left_alone(self):
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
+        env.pop("OMP_NUM_THREADS", None)
+        code = (
+            "import json, numpy as np\n"
+            "from hdcca import cca_core\n"
+            "counts = lambda: [get() for _, get in cca_core._openblas_threads()]\n"
+            "U, V = (cca_core.DataPanel(np.random.default_rng(0).standard_normal((k, 30))) for k in (3, 4))\n"
+            "before = counts()\n"
+            "with cca_core._one_blas_thread():\n"
+            "    inside = counts()\n"
+            "cca_core.sample_cca(U, V)\n"
+            "print(json.dumps({'before': before, 'inside': inside, 'after': counts()}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["before"] and seen["inside"] == seen["before"] == seen["after"]
