@@ -5,14 +5,15 @@ Subcommands: ``cca`` (correlations from two CSV panels), ``histogram``
 ``independence`` and ``coint`` (hypothesis tests), ``simulate`` (synthetic
 panels and VAR(1) series), ``tabulate`` (Monte Carlo quantile tables).
 
-Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error (one-line
-``hdcca.error/1`` JSON on stderr).  Reports are JSON on stdout or
-``--output``; pass ``--no-timestamp`` for byte-identical reruns.  Quantile
-tables live in one on-disk store (:func:`_table`), one file per identity
-(statistic, parameters, levels, nsamples, seed), checked on every read;
-``tabulate`` without ``--output`` pre-warms it.  The cache directory comes
-from ``--table-cache-dir``, then ``$HDCCA_TABLE_DIR``, then
-``$XDG_CACHE_HOME/hdcca``, then ``~/.cache/hdcca``.
+Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error or a path
+that cannot be read or written (one-line ``hdcca.error/1`` JSON on stderr).
+Reports are JSON on stdout or ``--output``; pass ``--no-timestamp`` for
+byte-identical reruns.  Quantile tables live in one on-disk store
+(:func:`_table`), one file per identity (statistic, parameters, levels,
+nsamples, seed), checked on every read; ``tabulate`` without ``--output``
+pre-warms it.  The cache directory comes from ``--table-cache-dir``, then
+``$HDCCA_TABLE_DIR``, then ``$XDG_CACHE_HOME/hdcca``, then
+``~/.cache/hdcca``.
 """
 
 from __future__ import annotations
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             _validate_simulate_args(args)
         return args.func(args)
-    except HdccaError as e:
+    except (HdccaError, OSError) as e:  # OSError: a path that cannot be read or written
         err = {"schema": "hdcca.error/1", "error": type(e).__name__, "message": str(e)}
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return EXIT_INPUT_ERROR

@@ -4,16 +4,18 @@ Gaussian data panels; batched spectra of Wishart (Laguerre) and
 MANOVA/Jacobi matrices, one sampler per ensemble, which also give the
 Laguerre small-dimension scaling limit; the exact Jacobi eigenvalue
 log-density; and a Monte Carlo validator for the loop (Dyson-Schwinger)
-equation of the Jacobi eigenvalue ensemble.
+equation of the Jacobi eigenvalue ensemble.  Wishart spectra come from
+Gaussian panels, MANOVA/Jacobi spectra from Beta variates through the
+bidiagonal Jacobi matrix model.
 
 Randomness is derived from an explicit :class:`Seed`.  A fixed
 ``(value, stream)`` pair reproduces output bit-for-bit on one build: the
 generator is numpy's PCG64 seeded through ``SeedSequence(entropy=value,
-spawn_key=(stream,))`` and normal variates use ``standard_normal``
-(ziggurat).  The spectra samplers fill their rows block by block from that
-one generator (:func:`_fill_blocks`).  Replicated loops draw replicate
-``index`` from ``spawn_key=(stream, index)`` so they stay deterministic
-under any schedule.
+spawn_key=(stream,))``, normal variates use ``standard_normal`` (ziggurat)
+and Beta variates use ``beta``.  The spectra samplers fill their rows
+block by block from that one generator (:func:`_fill_blocks`).  Replicated
+loops draw replicate ``index`` from ``spawn_key=(stream, index)`` so they
+stay deterministic under any schedule.
 """
 
 from __future__ import annotations
@@ -78,20 +80,8 @@ def sample_gaussian_panel(K: int, S: int, seed: Seed) -> DataPanel:
     return DataPanel(seed.generator().standard_normal((K, S)))
 
 
-def _inv_sqrt_psd(W: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Inverse symmetric square root via eigen-decomposition.
-
-    Eigenvalues are floored at `floor` times the largest one to guard
-    against degenerate draws.  Works on stacked (..., K, K) input.
-    """
-    w, Q = np.linalg.eigh(W)
-    wmax = np.max(w, axis=-1, keepdims=True)
-    w = np.maximum(w, floor * np.maximum(wmax, 1.0))
-    return (Q * (w[..., None, :] ** -0.5)) @ np.swapaxes(Q, -1, -2)
-
-
 def _auto_block(K: int, width: int) -> int:
-    """Draws per block keeping a block's K x width Gaussians near 4e6 floats (32 MB)."""
+    """Draws per block keeping a block's largest array, K x width floats a draw, near 4e6 floats (32 MB)."""
     return max(1, min(4096, 4_000_000 // max(K * width, 1)))
 
 
@@ -114,25 +104,42 @@ def _fill_blocks(n: int, K: int, block_size: int, seed: Seed, blocks: Callable) 
     return out
 
 
-def manova_spectra(K: int, L: int, Q: int, n: int, seed: Seed) -> np.ndarray:
+def manova_spectra(K: int, L: float, Q: float, n: int, seed: Seed) -> np.ndarray:
     """Eigenvalues (ascending per row) of `n` independent MANOVA draws.
 
-    A draw is the spectrum, in (0, 1), of (ZZ^T + YY^T)^{-1/2} ZZ^T (...)^{-1/2}
-    for standard normal Z (K x L) and Y (K x Q), K <= L and K <= Q.
+    A draw has the law of the spectrum, in (0, 1), of
+    (ZZ^T + YY^T)^{-1/2} ZZ^T (...)^{-1/2} for standard normal Z (K x L) and
+    Y (K x Q), K <= L and K <= Q: the beta = 1 Jacobi ensemble with exponents
+    a = L - K and b = Q - K.  It is sampled from 2K - 1 Beta variates as the
+    squared singular values of an upper bidiagonal K x K matrix (Edelman and
+    Sutton, Found. Comput. Math. 8, 2008; Killip and Nenciu, IMRN 2004), so
+    the widths L and Q may be any reals >= K.
     """
     if K > L or K > Q:
         raise DimensionMismatch(f"MANOVA needs K <= L and K <= Q, got K={K}, L={L}, Q={Q}")
+    a, b = L - K, Q - K
+    i = np.arange(K)
+    k = i + 1
 
     def blocks(rng: np.random.Generator, sizes: list[int]):
-        for b in sizes:
-            Z = rng.standard_normal((b, K, L))
-            Y = rng.standard_normal((b, K, Q))
-            A = Z @ np.swapaxes(Z, -1, -2)
-            R = _inv_sqrt_psd(A + Y @ np.swapaxes(Y, -1, -2))
-            M = R @ A @ R
-            yield np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
+        for size in sizes:
+            # c_k^2 ~ Beta((a+k)/2, (b+k)/2), c'_k^2 ~ Beta(k/2, (a+b+1+k)/2); both reversed
+            # so column i holds c_{K-i}, s_{K-i} and c'_{K-1-i}, s'_{K-1-i}.
+            c2 = rng.beta((a + k) / 2.0, (b + k) / 2.0, size=(size, K))[:, ::-1]
+            cp2 = rng.beta(k[:-1] / 2.0, (a + b + 1.0 + k[:-1]) / 2.0, size=(size, K - 1))[:, ::-1]
+            # upper bidiagonal B: diagonal (c_K, c_{K-1} s'_{K-1}, ..., c_1 s'_1),
+            # superdiagonal (-s_K c'_{K-1}, ..., -s_2 c'_1)
+            d = np.sqrt(c2)
+            d[:, 1:] *= np.sqrt(1.0 - cp2)
+            e = -np.sqrt((1.0 - c2[:, :-1]) * cp2)
+            # B B^T is tridiagonal; eigvalsh reads its lower triangle
+            T = np.zeros((size, K, K))
+            T[:, i, i] = d**2
+            T[:, i[:-1], i[:-1]] += e**2
+            T[:, i[1:], i[:-1]] = d[:, 1:] * e
+            yield np.linalg.eigvalsh(T)
 
-    return _fill_blocks(n, K, _auto_block(K, L + Q), seed, blocks)
+    return _fill_blocks(n, K, _auto_block(K, K), seed, blocks)
 
 
 def laguerre_spectra(K: int, M: int, n: int, seed: Seed) -> np.ndarray:
@@ -198,29 +205,11 @@ DS_TEST_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def _manova_sizes(params: JacobiParams) -> tuple[int, int]:
-    """Panel widths (L, Q) realizing J(N; p, q) as a MANOVA matrix.
-
-    p = (L - N + 1)/2 and q = (Q - N + 1)/2 must solve to integers >= N;
-    the Monte Carlo route cannot reach other parameter values.
-    """
-    L = 2.0 * params.p + params.N - 1.0
-    Q = 2.0 * params.q + params.N - 1.0
-    if abs(L - round(L)) > 1e-9 or abs(Q - round(Q)) > 1e-9:
-        raise ParameterRange(
-            f"(2p+N-1, 2q+N-1) = ({L}, {Q}) must be integers to sample via MANOVA"
-        )
-    L, Q = int(round(L)), int(round(Q))
-    if L < params.N or Q < params.N:
-        raise ParameterRange(f"implied panel widths ({L}, {Q}) below N={params.N}")
-    return L, Q
-
-
 @lru_cache(maxsize=8)
 def _ds_spectra(params: JacobiParams, nsamples: int, seed: Seed) -> np.ndarray:
     """Memoized spectra shared by every test function; read-only for that reason."""
-    L, Q = _manova_sizes(params)
-    spectra = manova_spectra(params.N, L, Q, nsamples, seed)
+    N = params.N
+    spectra = manova_spectra(N, 2.0 * params.p + N - 1.0, 2.0 * params.q + N - 1.0, nsamples, seed)
     spectra.setflags(write=False)
     return spectra
 

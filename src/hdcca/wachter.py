@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateLowerEdge, InvalidParams, PoleOrBranchCut
 
@@ -128,6 +127,9 @@ class _CdfTable:
     """
 
     def __init__(self, params: WachterParams):
+        # imported here: scipy.interpolate pulls in scipy.optimize, and no CLI command needs it
+        from scipy.interpolate import PchipInterpolator
+
         lo, hi = params.lambda_minus, params.lambda_plus
         delta = hi - lo
         theta = np.linspace(0.0, np.pi / 2.0, _GRID_INTERVALS + 1)

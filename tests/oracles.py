@@ -1,9 +1,12 @@
-"""Two independent CCA routes that cross-check :func:`hdcca.cca_core.sample_cca`.
+"""Slow, independent routes that cross-check the library on small instances.
 
-Both are slow and meant for small instances only: the projector oracle
-reads squared correlations off a product of S x S orthogonal projectors,
-and the sequential maximization oracle finds each canonical pair by
-projected ascent over unit vectors of the two row spaces.
+Two CCA routes check :func:`hdcca.cca_core.sample_cca`: the projector
+oracle reads squared correlations off a product of S x S orthogonal
+projectors, and the sequential maximization oracle finds each canonical
+pair by projected ascent over unit vectors of the two row spaces.  The
+dense MANOVA sampler is the law oracle of
+:func:`hdcca.ensembles.manova_spectra`: it builds each draw from its
+Gaussian definition instead of the bidiagonal Jacobi model.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from hdcca.cca_core import (
     _checked_cholesky,
     _clip_unit_interval,
 )
+from hdcca.ensembles import Seed
 from hdcca.errors import DimensionMismatch, NotConverged, TooFewObservations
 from hdcca.wachter import Spectrum
 
@@ -161,3 +165,19 @@ def _complete_basis(vecs: list[np.ndarray], dim: int) -> list[np.ndarray]:
         if n > 1e-8:
             basis.append(w / n)
     return basis
+
+
+def dense_manova_spectra(K: int, L: int, Q: int, n: int, seed: Seed) -> np.ndarray:
+    """Ascending spectra of `n` draws of (A + B)^{-1/2} A (A + B)^{-1/2}, A = ZZ^T, B = YY^T,
+    for standard normal Z (K x L) and Y (K x Q), by an eigendecomposition per draw."""
+    rng = seed.generator()
+    out = np.empty((n, K))
+    for i in range(n):
+        Z = rng.standard_normal((K, L))
+        Y = rng.standard_normal((K, Q))
+        A = Z @ Z.T
+        w, E = np.linalg.eigh(A + Y @ Y.T)
+        R = (E / np.sqrt(w)) @ E.T
+        M = R @ A @ R
+        out[i] = np.linalg.eigvalsh(0.5 * (M + M.T))
+    return out

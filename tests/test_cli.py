@@ -238,6 +238,13 @@ class TestPipelines:
         assert proc.returncode == 0
         assert "cca" in proc.stdout
 
+    def test_import_leaves_scipy_interpolate_out(self):
+        # scipy.interpolate pulls in scipy.optimize; only the Wachter CDF needs it, and no command reads that
+        code = "import sys, hdcca.cli; print('scipy.interpolate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_missing_tabulate_dimensions_exit_code(self, tmp_path, capsys):
         code = run_cli(
             ["tabulate", "--statistic", "laguerre-max", "--alphas", "0.9", "--nsamples", "100"],
@@ -355,23 +362,36 @@ class TestBadInput:
             (["independence"], "InputFormatError"),
             (["independence", "--regime", "small", "--alpha", "1.5"], "HdccaError"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "3"], "HdccaError"),
+            (["cca", "--output", "{dir}"], "IsADirectoryError"),
+            (["simulate", "var1", "--k", "2", "--t", "5", "--output", "{dir}"], "IsADirectoryError"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--output", "{dir}"], "IsADirectoryError"),
+            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
+              "--output", "{file}/t.json"], "FileExistsError"),
+            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
+              "--table-cache-dir", "{file}"], "FileExistsError"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
-             "alpha-range", "bins-floor"],
+             "alpha-range", "bins-floor", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
+             "tabulate-output-under-file", "cache-dir-is-file"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in argv]
         if argv[0] == "simulate":
-            argv = [*argv, *(f"--output{s}={tmp_path / ('out' + s)}" for s in ("", "-u", "-v"))]
-        if argv[0] == "independence":
+            outputs = [f"--output{s}" for s in ("", "-u", "-v") if f"--output{s}" not in argv]
+            argv = [*argv, *(f"{o}={tmp_path / o.lstrip('-')}" for o in outputs)]
+        if argv[0] in ("independence", "cca"):
             u, v = small_panels(tmp_path)
             argv = [*argv, "--u", str(u), "--v", str(v)]
         if argv[0] == "histogram":
             save_spectrum_json(tmp_path / "spec.json", Spectrum(np.array([0.5, 0.2])))
             argv = [*argv, "--spectrum", str(tmp_path / "spec.json")]
-        assert run_cli(argv, tmp_path) == 2
+        code = main(argv) if "--table-cache-dir" in argv else run_cli(argv, tmp_path)
+        assert code == 2
         assert error_of(capsys)["error"] == error
 
     @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])

@@ -19,6 +19,7 @@ from hdcca.ensembles import (
 )
 from hdcca.errors import DimensionMismatch, OutOfSimplex, ParameterRange
 from hdcca.wachter import WachterParams, pdf, support
+from oracles import dense_manova_spectra
 
 
 class TestSeed:
@@ -93,6 +94,15 @@ class TestManova:
         lo, hi = support(params)
         target, _ = quad(lambda x: x * pdf(x, params), lo, hi, limit=200)
         assert draws.mean() == pytest.approx(target, abs=0.01)
+
+    @pytest.mark.parametrize("K, L, Q", [(1, 6, 10), (3, 3, 20), (5, 12, 5), (10, 15, 35)])
+    def test_law_matches_the_dense_sampler(self, K, L, Q):
+        # K = 1, L = K, Q = K and Q < L; every order statistic against the Gaussian definition
+        n = 4000
+        fast = manova_spectra(K, L, Q, n, Seed(81))
+        dense = dense_manova_spectra(K, L, Q, n, Seed(82))
+        pvalues = [ks_2samp(fast[:, j], dense[:, j]).pvalue for j in range(K)]
+        assert min(pvalues) > 0.01
 
     def test_dimension_violations(self):
         with pytest.raises(DimensionMismatch):
@@ -179,11 +189,14 @@ class TestDsResidual:
             rhs[K] = np.mean(np.sum(dfunc(x), axis=1) / (2.0 * K**2))
         assert rhs[10] / rhs[20] == pytest.approx(2.0, rel=0.25)
 
+    def test_non_integer_widths_balance(self):
+        # (2p+N-1, 2q+N-1) = (7.6, 9): no Gaussian panel has these widths
+        est, stderr = ds_residual(JacobiParams(4, 2.3, 3.0), "x", 20_000, Seed(0))
+        assert abs(est) < 4 * stderr
+
     def test_parameter_range_enforced(self):
         with pytest.raises(ParameterRange):
             ds_residual(JacobiParams(4, 1.0, 3.0), "x", 100, Seed(0))
-        with pytest.raises(ParameterRange):
-            ds_residual(JacobiParams(4, 2.3, 3.0), "x", 100, Seed(0))  # non-integer widths
         with pytest.raises(ParameterRange):
             ds_residual(JacobiParams(4, 2.0, 3.0), "nope", 100, Seed(0))
 
