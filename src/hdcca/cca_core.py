@@ -19,10 +19,13 @@ Conventions, fixed so results are deterministic:
   the vectors inside a cluster are an arbitrary orthonormal basis of the
   cluster space and should not be compared individually.
 
-The sample kernel runs on one BLAS thread: numpy's and scipy's bundled
-OpenBLAS are switched to one thread around the Gram products,
-factorisations, solves and SVD, and switched back afterwards.  At these
-sizes, handing work between two threads costs more than it saves.  Set
+The kernel needs numpy alone: Cholesky factors from ``np.linalg.cholesky``
+and their inverses from one blocked triangular inversion, so importing
+hdcca loads no part of scipy.  The sample kernel runs on one BLAS thread:
+numpy's bundled OpenBLAS is switched to one thread around the Gram
+products, factorisations, inversions and SVD, and switched back
+afterwards.  At the Monte Carlo sizes (up to about 100x150x500), handing
+work between two threads costs more than it saves.  Set
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` to keep the library's own
 thread count instead.
 """
@@ -37,7 +40,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .errors import (
     ClippingError,
@@ -50,10 +52,9 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 CLUSTER_GAP = 1e-6
-# (setter, getter) of the bundled OpenBLAS: numpy's 64-bit-integer build, then scipy's.
+# (setter, getter) of numpy's bundled OpenBLAS, its 64-bit-integer build; the kernel calls no other BLAS.
 _OPENBLAS_THREAD_CALLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
 )
 # OpenBLAS reads these once, when it loads; a count set there is the user's choice.
 _USER_SET_THREADS = any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
@@ -174,7 +175,7 @@ def _checked_cholesky(G: np.ndarray, tol: float, side: str) -> np.ndarray:
     """Lower Cholesky factor L of G; RankDeficient when some row keeps a share L[i, i]^2 / G[i, i]
     <= tol of its squared norm outside the span of the rows before it (no row scaling changes it)."""
     try:
-        L = cholesky(G, lower=True)
+        L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as e:
         raise RankDeficient(f"{side} Gram matrix is not positive definite: {e}") from e
     share = np.min(np.diag(L) ** 2 / np.diag(G))
@@ -187,7 +188,7 @@ def _checked_cholesky(G: np.ndarray, tol: float, side: str) -> np.ndarray:
 
 @functools.cache
 def _openblas_threads() -> tuple:
-    """(setter, getter) ctypes functions of each bundled OpenBLAS this process has loaded."""
+    """(setter, getter) ctypes functions of each loaded OpenBLAS with an _OPENBLAS_THREAD_CALLS pair."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
@@ -263,22 +264,37 @@ def _canonical_signs(alphas: np.ndarray, betas: np.ndarray, corr: np.ndarray) ->
     betas[:, flip_b] = -betas[:, flip_b]
 
 
-def _whiten(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Lu^-1 cross Lv^-T, Lu and Lv lower Cholesky factors."""
-    C = solve_triangular(Lu, cross, lower=True)
-    return solve_triangular(Lv, C.T, lower=True).T
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L, exactly lower-triangular itself.
+
+    Blocked by halving, L = [[A, 0], [B, C]] gives L^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]
+    with both diagonal blocks inverted recursively (Du Croz & Higham, IMA J. Numer. Anal. 12,
+    1992); blocks of at most 32 rows go to np.linalg.inv, their upper part zeroed.
+    """
+    n = L.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    Ai, Ci = _tri_inv(L[:h, :h]), _tri_inv(L[h:, h:])
+    X = np.zeros_like(L)
+    X[:h, :h] = Ai
+    X[h:, h:] = Ci
+    X[h:, :h] = -(Ci @ (L[h:, :h] @ Ai))
+    return X
 
 
 def _whitened_svd(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray, clip_tol: float) -> CanonicalSystem:
     """Canonical system from the SVD of Lu^-1 cross Lv^-T, Lu and Lv lower Cholesky factors.
 
-    Squared singular values are clipped with `clip_tol`; back-solved singular
-    vectors are the canonical vectors, signs fixed.
+    Squared singular values are clipped with `clip_tol`; the singular
+    vectors mapped back through Lu^-T and Lv^-T are the canonical vectors,
+    signs fixed.
     """
-    A, s, Bt = np.linalg.svd(_whiten(Lu, Lv, cross), full_matrices=True)
+    Iu, Iv = _tri_inv(Lu), _tri_inv(Lv)
+    A, s, Bt = np.linalg.svd(Iu @ cross @ Iv.T, full_matrices=True)
     corr_sq = _clip_unit_interval(s**2, clip_tol)
-    alphas = solve_triangular(Lu.T, A, lower=False)
-    betas = solve_triangular(Lv.T, Bt.T, lower=False)
+    alphas = Iu.T @ A
+    betas = Iv.T @ Bt.T
     _canonical_signs(alphas, betas, np.sqrt(corr_sq))
     return CanonicalSystem(
         correlations_sq=corr_sq, alphas=alphas.T.copy(), betas=betas.T.copy()
@@ -316,11 +332,12 @@ def _sample_spectrum(U: DataPanel, V: DataPanel) -> np.ndarray:
     """``sample_cca(U, V).correlations_sq`` without the canonical vectors.
 
     The same checks, factors and whitening, then singular values only: no
-    back-solves and no sign fixing.  For callers that read only the
+    vector recovery and no sign fixing.  For callers that read only the
     correlations.
     """
     with _one_blas_thread():
-        s = np.linalg.svd(_whiten(*_sample_factors(U, V, DEFAULT_TOL)), compute_uv=False)
+        Lu, Lv, cross = _sample_factors(U, V, DEFAULT_TOL)
+        s = np.linalg.svd(_tri_inv(Lu) @ cross @ _tri_inv(Lv).T, compute_uv=False)
     return _clip_unit_interval(s**2, DEFAULT_TOL)
 
 
@@ -331,8 +348,8 @@ def population_cca(cov: CovarianceTriple) -> CanonicalSystem:
     population covariances instead of Gram matrices.
     """
     try:
-        Lu = cholesky(cov.luu, lower=True)
-        Lv = cholesky(cov.lvv, lower=True)
+        Lu = np.linalg.cholesky(cov.luu)
+        Lv = np.linalg.cholesky(cov.lvv)
     except np.linalg.LinAlgError as e:  # pragma: no cover - validated upstream
         raise SingularCovariance(str(e)) from e
     return _whitened_svd(Lu, Lv, cov.luv, 1e-10)

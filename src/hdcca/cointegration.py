@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .cca_core import DataPanel, _sample_spectrum
 from .ensembles import Seed, _fill_blocks, manova_spectra
@@ -93,7 +92,7 @@ class VarModel:
 
 def _simulate_var1_rng(model: VarModel, T: int, rng: np.random.Generator) -> TimeSeriesPanel:
     K = model.pi.shape[0]
-    L = cholesky(model.lam, lower=True)
+    L = np.linalg.cholesky(model.lam)
     eps = L @ rng.standard_normal((K, T))
     X = np.empty((K, T + 1))
     X[:, 0] = model.x0

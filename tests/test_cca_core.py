@@ -15,6 +15,7 @@ from hdcca.cca_core import (
     DataPanel,
     _one_blas_thread,
     _sample_spectrum,
+    _tri_inv,
     alignment_angle,
     population_cca,
     sample_cca,
@@ -69,6 +70,19 @@ class TestSampleCca:
             sample_cca(DataPanel(scaled), V).correlations_sq, sample_cca(U, V).correlations_sq, rtol=1e-9
         )
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_badly_scaled_row_keeps_the_canonical_variables(self, scale):
+        # the variables U^T alpha_i are invariant under row scaling; only their signs may flip
+        U, V = random_panels(3, 40, 60, 200)
+        scaled = U.values.copy()
+        scaled[0] *= scale
+        base, cs = sample_cca(U, V), sample_cca(DataPanel(scaled), V)
+        np.testing.assert_allclose(cs.correlations_sq, base.correlations_sq, rtol=0, atol=1e-13)
+        pairs = ((U.values, base.alphas, scaled, cs.alphas), (V.values, base.betas, V.values, cs.betas))
+        for X, old, Y, new in pairs:
+            a, b = X.T @ old.T, Y.T @ new.T
+            np.testing.assert_allclose(b * np.sign(np.sum(a * b, axis=0)), a, rtol=0, atol=1e-12)
+
     def test_too_few_observations(self):
         U, V = random_panels(1, 3, 3, 5)
         with pytest.raises(TooFewObservations):
@@ -86,6 +100,20 @@ class TestSampleCca:
         expect[:3, :3] = np.diag(cs.correlations)
         np.testing.assert_allclose(cross, expect, atol=1e-8)
         assert np.all(np.diag(cross) >= -1e-12)
+
+
+class TestTriInv:
+    @pytest.mark.parametrize("n", [1, 2, 32, 33, 65, 150, 257])
+    @pytest.mark.parametrize("row_scale", [1.0, 1e-6])
+    def test_exact_lower_triangular_inverse(self, n, row_scale):
+        # odd splits, the direct base case, and a Cholesky factor with one badly scaled row
+        X = np.random.default_rng(n).standard_normal((n, 2 * n + 3))
+        X[0] *= row_scale
+        L = np.linalg.cholesky(X @ X.T)
+        inv = _tri_inv(L)
+        assert np.all(np.triu(inv, 1) == 0.0)
+        residual = np.linalg.norm(L @ inv - np.eye(n), 2)
+        assert residual <= 10 * np.finfo(float).eps * np.linalg.cond(L)
 
 
 class TestProjectorOracle:

@@ -21,6 +21,7 @@ from hdcca.cointegration import TimeSeriesPanel
 from hdcca.errors import InputFormatError
 from hdcca.hyptest import QuantileTable
 from hdcca.wachter import Spectrum, WachterParams, support
+from oracles import sample_cca_projector_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,6 +80,21 @@ class TestCcaCommand:
         )
         assert code == 0
         assert out.read_text() == (DATA / "golden_cca_3x20.json").read_text()
+
+    def test_golden_file_is_a_canonical_system(self):
+        # vouches for the pinned bytes without the kernel that wrote them
+        doc = json.loads((DATA / "golden_cca_3x20.json").read_text())
+        U, V = load_panel_csv(DATA / "panel_u_3x20.csv"), load_panel_csv(DATA / "panel_v_4x20.csv")
+        corr_sq = np.array(doc["correlations_sq"])
+        np.testing.assert_allclose(corr_sq, sample_cca_projector_oracle(U, V).values, rtol=0, atol=1e-12)
+        assert doc["spectrum"]["values"] == doc["correlations_sq"]
+        u = U.values.T @ np.array(doc["alphas"]).T
+        v = V.values.T @ np.array(doc["betas"]).T
+        np.testing.assert_allclose(u.T @ u, np.eye(U.rows), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(V.rows), rtol=0, atol=1e-12)
+        cross = np.zeros((U.rows, V.rows))
+        np.fill_diagonal(cross, np.sqrt(corr_sq))
+        np.testing.assert_allclose(u.T @ v, cross, rtol=0, atol=1e-12)
 
     def test_proportional_rows_give_unit_correlation(self, tmp_path):
         u, v = tmp_path / "u.csv", tmp_path / "v.csv"
@@ -239,11 +255,12 @@ class TestPipelines:
         assert "cca" in proc.stdout
 
     def test_import_leaves_scipy_interpolate_out(self):
-        # scipy.interpolate pulls in scipy.optimize; only the Wachter CDF needs it, and no command reads that
-        code = "import sys, hdcca.cli; print('scipy.interpolate' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        # no part of scipy at all: the kernel is numpy alone, and only the Wachter CDF imports scipy, lazily
+        for module in ("hdcca.cli", "hdcca"):
+            code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "[]", module
 
     def test_missing_tabulate_dimensions_exit_code(self, tmp_path, capsys):
         code = run_cli(
