@@ -21,22 +21,14 @@ Conventions, fixed so results are deterministic:
 
 The kernel needs numpy alone: Cholesky factors from ``np.linalg.cholesky``
 and their inverses from one blocked triangular inversion, so importing
-hdcca loads no part of scipy.  The sample kernel runs on one BLAS thread:
-numpy's bundled OpenBLAS is switched to one thread around the Gram
-products, factorisations, inversions and SVD, and switched back
-afterwards.  At the Monte Carlo sizes (up to about 100x150x500), handing
-work between two threads costs more than it saves.  Set
-``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` to keep the library's own
-thread count instead.
+hdcca loads no part of scipy.  Callers that read only the correlations get
+them as the eigenvalues of the min(K, M)-square Gram matrix of the
+whitened cross block, with no SVD.  The kernel runs at numpy's BLAS thread
+setting, like the rest of the program.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +44,6 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 CLUSTER_GAP = 1e-6
-# (setter, getter) of numpy's bundled OpenBLAS, its 64-bit-integer build; the kernel calls no other BLAS.
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-)
-# OpenBLAS reads these once, when it loads; a count set there is the user's choice.
-_USER_SET_THREADS = any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 @dataclass(frozen=True)
@@ -186,64 +172,6 @@ def _checked_cholesky(G: np.ndarray, tol: float, side: str) -> np.ndarray:
     return L
 
 
-@functools.cache
-def _openblas_threads() -> tuple:
-    """(setter, getter) ctypes functions of each loaded OpenBLAS with an _OPENBLAS_THREAD_CALLS pair."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return ()
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                getter = getattr(lib, get_name)
-                getter.restype = ctypes.c_int
-                found.append((getattr(lib, set_name), getter))
-                break
-    return tuple(found)
-
-
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved: list = []
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body on one OpenBLAS thread and restore the previous counts on exit.
-
-    Does nothing when the user has set a thread count in the environment or
-    when no bundled OpenBLAS setter is loaded (MKL, a system BLAS).  The
-    count is process-wide, so nested or concurrent bodies share one switch:
-    the first to enter saves and sets it, the last to leave restores it.
-    """
-    global _blas_depth
-    calls = () if _USER_SET_THREADS else _openblas_threads()
-    if not calls:
-        yield
-        return
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved[:] = [get() for _, get in calls]
-            for set_threads, _ in calls:
-                set_threads(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                for (set_threads, _), n in zip(calls, _blas_saved):
-                    set_threads(n)
-
-
 def _canonical_signs(alphas: np.ndarray, betas: np.ndarray, corr: np.ndarray) -> None:
     """Fix the +/- freedom in place.
 
@@ -310,8 +238,7 @@ def sample_cca(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> Canonica
     are the canonical vectors.  Requires equal observation counts,
     K + M <= S, and both Gram matrices invertible within ``tol``.
     """
-    with _one_blas_thread():
-        return _whitened_svd(*_sample_factors(U, V, tol), max(tol, 1e-12))
+    return _whitened_svd(*_sample_factors(U, V, tol), max(tol, 1e-12))
 
 
 def _sample_factors(U: DataPanel, V: DataPanel, tol: float) -> tuple:
@@ -331,14 +258,15 @@ def _sample_factors(U: DataPanel, V: DataPanel, tol: float) -> tuple:
 def _sample_spectrum(U: DataPanel, V: DataPanel) -> np.ndarray:
     """``sample_cca(U, V).correlations_sq`` without the canonical vectors.
 
-    The same checks, factors and whitening, then singular values only: no
-    vector recovery and no sign fixing.  For callers that read only the
-    correlations.
+    The same checks, factors and whitening, then the eigenvalues of the
+    min(K, M)-square Gram matrix of the whitened block C, C C^T or C^T C:
+    the squared singular values of C without an SVD, no vector recovery
+    and no sign fixing.  For callers that read only the correlations.
     """
-    with _one_blas_thread():
-        Lu, Lv, cross = _sample_factors(U, V, DEFAULT_TOL)
-        s = np.linalg.svd(_tri_inv(Lu) @ cross @ _tri_inv(Lv).T, compute_uv=False)
-    return _clip_unit_interval(s**2, DEFAULT_TOL)
+    Lu, Lv, cross = _sample_factors(U, V, DEFAULT_TOL)
+    C = _tri_inv(Lu) @ cross @ _tri_inv(Lv).T
+    G = C @ C.T if C.shape[0] <= C.shape[1] else C.T @ C
+    return _clip_unit_interval(np.linalg.eigvalsh(G)[::-1], DEFAULT_TOL)
 
 
 def population_cca(cov: CovarianceTriple) -> CanonicalSystem:

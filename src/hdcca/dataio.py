@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ def _parse_float(field: str, path, lineno: int, col: int) -> float:
         raise InputFormatError(
             f"{path}, line {lineno}: column {col} is not numeric: {field!r}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InputFormatError(f"{path}, line {lineno}: column {col} is not finite")
     return value
 
@@ -117,14 +118,6 @@ def save_timeseries_csv(path, ts: TimeSeriesPanel) -> None:
             writer.writerow([t] + [repr(float(v)) for v in ts.X[:, t]])
 
 
-def spectrum_to_json_dict(spec: Spectrum) -> dict:
-    return {
-        "schema": SPECTRUM_SCHEMA,
-        "values": [float(v) for v in spec.values],
-        "meta": spec.meta,
-    }
-
-
 def load_spectrum_json(path) -> Spectrum:
     try:
         doc = json.loads(Path(path).read_text())
@@ -139,7 +132,8 @@ def load_spectrum_json(path) -> Spectrum:
 
 
 def save_spectrum_json(path, spec: Spectrum) -> None:
-    Path(path).write_text(json.dumps(spectrum_to_json_dict(spec), sort_keys=True) + "\n")
+    doc = {"schema": SPECTRUM_SCHEMA, "values": [float(v) for v in spec.values], "meta": spec.meta}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def histogram_csv(values, params: WachterParams, bins: int) -> str:

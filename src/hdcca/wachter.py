@@ -146,11 +146,8 @@ class _CdfTable:
         )
         pieces = 0.5 * h * g @ _GL_WEIGHTS
         cum = np.concatenate([[0.0], np.cumsum(pieces)])
-        self.total = cum[-1]
-        cum = cum / self.total  # renormalize residual quadrature error (~1e-15)
+        cum = cum / cum[-1]  # renormalize residual quadrature error (~1e-15)
         self.lo, self.hi, self.delta = lo, hi, delta
-        self.theta = theta
-        self.cum = cum
         self._interp = PchipInterpolator(theta, cum, extrapolate=False)
         self._inverse = PchipInterpolator(cum, theta, extrapolate=False)
 

@@ -1,19 +1,11 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdcca import cca_core
 from hdcca.cca_core import (
     CanonicalSystem,
     CovarianceTriple,
     DataPanel,
-    _one_blas_thread,
     _sample_spectrum,
     _tri_inv,
     alignment_angle,
@@ -337,6 +329,14 @@ class TestSampleSpectrum:
         scaled[0] *= 1e-6
         return DataPanel(scaled), V
 
+    @staticmethod
+    def near_unit_top_pair():
+        """V's first row is U's first row plus 1e-7 noise, so the top correlation is 1 - O(1e-14)."""
+        U, V = random_panels(6, 3, 4, 60)
+        rows = V.values.copy()
+        rows[0] = U.values[0] + 1e-7 * np.random.default_rng(7).standard_normal(U.cols)
+        return U, DataPanel(rows)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -345,9 +345,11 @@ class TestSampleSpectrum:
             lambda: random_panels(3, 2, 3, 500),
             lambda: random_panels(4, 5, 3, 12),
             lambda: random_panels(5, 40, 60, 200),
+            lambda: random_panels(6, 100, 150, 500),
             lambda: TestSampleSpectrum.badly_scaled(),
+            lambda: TestSampleSpectrum.near_unit_top_pair(),
         ],
-        ids=["K=M", "K+M=S", "2x3x500", "K>M", "40x60x200", "badly-scaled-row"],
+        ids=["K=M", "K+M=S", "2x3x500", "K>M", "40x60x200", "100x150x500", "badly-scaled-row", "near-unit-top-pair"],
     )
     def test_matches_the_full_path(self, make):
         U, V = make()
@@ -368,72 +370,3 @@ class TestSampleSpectrum:
         with pytest.raises(error) as short:
             _sample_spectrum(U, V)
         assert str(short.value) == str(full.value)
-
-
-def blas_threads():
-    return [get() for _, get in cca_core._openblas_threads()]
-
-
-needs_openblas = pytest.mark.skipif(
-    not cca_core._openblas_threads(), reason="no bundled OpenBLAS thread setter is loaded"
-)
-
-
-@needs_openblas
-class TestOneBlasThread:
-    @pytest.fixture()
-    def two_threads(self, monkeypatch):
-        """Two BLAS threads and no user-set thread count; the old counts come back after."""
-        monkeypatch.setattr(cca_core, "_USER_SET_THREADS", False)
-        calls = cca_core._openblas_threads()
-        before = blas_threads()
-        for set_threads, _ in calls:
-            set_threads(2)
-        yield [2] * len(calls)
-        for (set_threads, _), n in zip(calls, before):
-            set_threads(n)
-
-    def test_body_runs_on_one_thread(self, two_threads):
-        with _one_blas_thread():
-            assert blas_threads() == [1] * len(two_threads)
-            with _one_blas_thread():
-                assert blas_threads() == [1] * len(two_threads)
-            assert blas_threads() == [1] * len(two_threads)
-        assert blas_threads() == two_threads
-
-    def test_count_restored_after_return_and_after_raise(self, two_threads):
-        U, V = random_panels(0, 4, 5, 30)
-        sample_cca(U, V)
-        _sample_spectrum(U, V)
-        assert blas_threads() == two_threads
-        row = np.arange(8.0)
-        with pytest.raises(RankDeficient):
-            sample_cca(DataPanel([row, 2 * row]), random_panels(0, 2, 2, 8)[1])
-        assert blas_threads() == two_threads
-
-    def test_does_nothing_without_a_setter(self, two_threads, monkeypatch):
-        calls = cca_core._openblas_threads()
-        monkeypatch.setattr(cca_core, "_openblas_threads", lambda: ())
-        with _one_blas_thread():
-            assert [get() for _, get in calls] == two_threads
-
-    def test_user_thread_count_is_left_alone(self):
-        root = Path(__file__).resolve().parent.parent
-        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2"}
-        env.pop("OMP_NUM_THREADS", None)
-        code = (
-            "import json, numpy as np\n"
-            "from hdcca import cca_core\n"
-            "counts = lambda: [get() for _, get in cca_core._openblas_threads()]\n"
-            "U, V = (cca_core.DataPanel(np.random.default_rng(0).standard_normal((k, 30))) for k in (3, 4))\n"
-            "before = counts()\n"
-            "with cca_core._one_blas_thread():\n"
-            "    inside = counts()\n"
-            "cca_core.sample_cca(U, V)\n"
-            "print(json.dumps({'before': before, 'inside': inside, 'after': counts()}))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
-        assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout)
-        assert seen["before"] and seen["inside"] == seen["before"] == seen["after"]

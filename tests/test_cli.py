@@ -63,6 +63,18 @@ class TestDataIo:
         with pytest.raises(InputFormatError, match="line 3"):
             load_panel_csv(path)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "load, text, column",
+        [(load_panel_csv, "h1,h2\n1.0,2.0\n3.0,{}\n", 2), (load_timeseries_csv, "t,x\n0,1.0\n1,{}\n", 2)],
+        ids=["panel", "timeseries"],
+    )
+    def test_non_finite_field_names_line_and_column(self, tmp_path, load, text, column, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(text.format(field))
+        with pytest.raises(InputFormatError, match=f"line 3: column {column} is not finite"):
+            load(path)
+
     def test_timeseries_index_must_be_sequential(self, tmp_path):
         path = tmp_path / "ts.csv"
         path.write_text("t,x\n0,1.0\n2,2.0\n")
@@ -338,11 +350,22 @@ class TestTableStore:
         assert sorted((tmp_path / "cache").iterdir()) == before
         assert json.loads(out.read_text())["threshold"] == table.threshold_for(0.95)
 
-    def test_edited_identity_raises_table_mismatch(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(statistic_id="BROWNIAN_COINT"),
+            lambda doc: doc["params"].update(M=4),
+            lambda doc: doc["entries"][0].update(alpha=0.85),
+            lambda doc: doc.update(nsamples=201),
+            lambda doc: doc["seed"].update(value=1),
+        ],
+        ids=["statistic", "params", "levels", "nsamples", "seed"],
+    )
+    def test_edited_identity_raises_table_mismatch(self, tmp_path, capsys, edit):
         assert run_cli(self.TABULATE_23, tmp_path) == 0
         path = Path(capsys.readouterr().out.strip())
         doc = json.loads(path.read_text())
-        doc["seed"]["value"] = 1
+        edit(doc)
         path.write_text(json.dumps(doc))
         u, v = small_panels(tmp_path)
         code = run_cli(
@@ -417,6 +440,22 @@ class TestBadInput:
             main(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: hdcca")
+
+    @pytest.mark.parametrize("field", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, text, column",
+        [(["cca", "--v", "{good}", "--u"], "a,b,c\n1.0,2.0,3.0\n4.0,{},6.0\n", 2),
+         (["coint", "--regime", "small", "--input"], "t,x,y\n0,1.0,2.0\n1,3.0,{}\n", 3)],
+        ids=["panel", "timeseries"],
+    )
+    def test_non_finite_csv_field(self, tmp_path, capsys, command, text, column, field):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("a,b,c\n1.0,2.0,4.0\n")
+        bad.write_text(text.format(field))
+        assert run_cli([*(a.format(good=good) for a in command), str(bad)], tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InputFormatError"
+        assert f"{bad}, line 3: column {column} is not finite" in err["message"]
 
     @pytest.mark.parametrize("text", ["not json", '{"version": 1}', "[1]"], ids=["text", "no-fields", "list"])
     def test_malformed_table_file(self, tmp_path, capsys, text):
