@@ -35,7 +35,6 @@ from .ensembles import (
     Seed,
     ds_residual,
     jacobi_eigenvalue_logdensity,
-    sample_gaussian_panel,
 )
 from .hyptest import (
     QuantileTable,

@@ -19,11 +19,11 @@ Conventions, fixed so results are deterministic:
   the vectors inside a cluster are an arbitrary orthonormal basis of the
   cluster space and should not be compared individually.
 
-The kernel needs numpy alone: Cholesky factors from ``np.linalg.cholesky``
-and their inverses from one blocked triangular inversion, so importing
-hdcca loads no part of scipy.  Callers that read only the correlations get
-them as the eigenvalues of the min(K, M)-square Gram matrix of the
-whitened cross block, with no SVD.  The kernel runs at numpy's BLAS thread
+The kernel needs numpy alone, like the rest of hdcca: Cholesky factors
+from ``np.linalg.cholesky`` and their inverses from one blocked triangular
+inversion.  Callers that read only the correlations get them as the
+eigenvalues of the min(K, M)-square Gram matrix of the whitened cross
+block, with no SVD.  The kernel runs at numpy's BLAS thread
 setting, like the rest of the program.
 """
 

@@ -1,10 +1,10 @@
 """Seedable samplers for the classical random-matrix ensembles.
 
-Gaussian data panels; batched spectra of Wishart (Laguerre) and
-MANOVA/Jacobi matrices, one sampler per ensemble, which also give the
-Laguerre small-dimension scaling limit; the exact Jacobi eigenvalue
-log-density; and a Monte Carlo validator for the loop (Dyson-Schwinger)
-equation of the Jacobi eigenvalue ensemble.  Wishart spectra come from
+Batched spectra of Wishart (Laguerre) and MANOVA/Jacobi matrices, one
+sampler per ensemble, which also give the Laguerre small-dimension
+scaling limit; the exact Jacobi eigenvalue log-density; and a Monte Carlo
+validator for the loop (Dyson-Schwinger) equation of the Jacobi
+eigenvalue ensemble.  Wishart spectra come from
 Gaussian panels, MANOVA/Jacobi spectra from Beta variates through the
 bidiagonal Jacobi matrix model.
 
@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .cca_core import DataPanel
 from .errors import DimensionMismatch, InvalidParams, OutOfSimplex, ParameterRange
 
 _U64 = 2**64
@@ -71,13 +70,6 @@ class JacobiParams:
             raise ParameterRange(f"N must be >= 1, got {self.N}")
         if not (self.p > 0 and self.q > 0):
             raise ParameterRange(f"p, q must be > 0, got p={self.p}, q={self.q}")
-
-
-def sample_gaussian_panel(K: int, S: int, seed: Seed) -> DataPanel:
-    """K x S panel of independent standard normal entries."""
-    if K < 1 or S < 1:
-        raise DimensionMismatch(f"panel dimensions must be >= 1, got {K}x{S}")
-    return DataPanel(seed.generator().standard_normal((K, S)))
 
 
 def _auto_block(K: int, width: int) -> int:

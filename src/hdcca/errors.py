@@ -24,10 +24,6 @@ class SingularCovariance(HdccaError):
     """A population covariance block is not invertible."""
 
 
-class NotConverged(HdccaError):
-    """Iterative maximization stalled; retry with more restarts."""
-
-
 class ZeroImage(HdccaError, ValueError):
     """A coefficient vector maps to the zero vector under the data panel."""
 

@@ -1,8 +1,11 @@
 """The Wachter limit distribution for squared sample canonical correlations.
 
-Support endpoints, density, CDF (cached quadrature), quantile function,
-Stieltjes transform with the asymptotic branch, square-root edge constants,
-and the Kolmogorov distance between an empirical spectrum and the limit.
+Support endpoints, density, CDF, quantile function, Stieltjes transform
+with the asymptotic branch, square-root edge constants, and the Kolmogorov
+distance between an empirical spectrum and the limit.  The density has an
+elementary antiderivative in the edge angle theta, x = l- + (l+ - l-)
+sin^2(theta), so the CDF is a closed form of three arctangents and the
+quantile function bisects it in theta.
 
 The distribution is parameterized by the dimension ratios
 ``tau_k = S / K >= tau_m = S / M > 1`` with ``1/tau_k + 1/tau_m < 1`` and
@@ -15,15 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateLowerEdge, InvalidParams, PoleOrBranchCut
-
-_GRID_INTERVALS = 4096
-_GL_NODES, _GL_WEIGHTS = leggauss(5)
 
 
 def support_endpoints(tau_k: float, tau_m: float) -> tuple[float, float]:
@@ -83,6 +81,8 @@ class Spectrum:
         v = np.array(self.values, dtype=float, copy=True).reshape(-1)
         if v.size == 0:
             raise InvalidParams("spectrum must be nonempty")
+        if not np.all(np.isfinite(v)):
+            raise InvalidParams("spectrum values must be finite")
         if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
             raise InvalidParams(f"spectrum values outside [0,1]: [{v.min()}, {v.max()}]")
         if np.any(np.diff(v) > 1e-12):
@@ -117,71 +117,49 @@ def pdf(x, params: WachterParams):
     return out if out.ndim else float(out)
 
 
-class _CdfTable:
-    """Cumulative mass on a uniform grid in the edge-resolving angle.
+def _angle_cdf(theta, params: WachterParams):
+    """Mass below x = a + (b - a) sin^2(theta), theta in [0, pi/2], a = l-, b = l+.
 
-    Substituting x = l- + (l+ - l-) sin^2(theta) removes the square-root
-    edge singularity: the transformed integrand is analytic on
-    [0, pi/2], so per-interval 5-point Gauss-Legendre is effectively
-    exact and the node values carry quadrature error far below 1e-10.
+    In theta the density is (tau_k / pi) (x - a)(b - x) / (x (1 - x)), whose
+    partial fractions 1 - ab / x - (1 - a)(1 - b) / (1 - x) each integrate
+    to an arctangent.  At tau_k == tau_m, a == 0 and its term vanishes.
     """
-
-    def __init__(self, params: WachterParams):
-        # imported here: scipy.interpolate pulls in scipy.optimize, and no CLI command needs it
-        from scipy.interpolate import PchipInterpolator
-
-        lo, hi = params.lambda_minus, params.lambda_plus
-        delta = hi - lo
-        theta = np.linspace(0.0, np.pi / 2.0, _GRID_INTERVALS + 1)
-        h = theta[1] - theta[0]
-        mid = 0.5 * (theta[:-1] + theta[1:])
-        nodes = mid[:, None] + 0.5 * h * _GL_NODES[None, :]
-        x = lo + delta * np.sin(nodes) ** 2
-        g = (
-            params.tau_k
-            / np.pi
-            * delta**2
-            * (np.sin(nodes) * np.cos(nodes)) ** 2
-            / (x * (1.0 - x))
-        )
-        pieces = 0.5 * h * g @ _GL_WEIGHTS
-        cum = np.concatenate([[0.0], np.cumsum(pieces)])
-        cum = cum / cum[-1]  # renormalize residual quadrature error (~1e-15)
-        self.lo, self.hi, self.delta = lo, hi, delta
-        self._interp = PchipInterpolator(theta, cum, extrapolate=False)
-        self._inverse = PchipInterpolator(cum, theta, extrapolate=False)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        ratio = np.clip((x - self.lo) / self.delta, 0.0, 1.0)
-        th = np.arcsin(np.sqrt(ratio))
-        out = self._interp(th)
-        out = np.where(x <= self.lo, 0.0, np.where(x >= self.hi, 1.0, out))
-        return out
-
-    def ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        th = self._inverse(np.clip(q, 0.0, 1.0))
-        return self.lo + self.delta * np.sin(th) ** 2
-
-
-@lru_cache(maxsize=8)
-def _table(params: WachterParams) -> _CdfTable:
-    return _CdfTable(params)
+    a, b = params.lambda_minus, params.lambda_plus
+    s, c = np.sin(theta), np.cos(theta)
+    return params.tau_k / np.pi * (
+        theta
+        - math.sqrt(a * b) * np.arctan2(math.sqrt(b) * s, math.sqrt(a) * c)
+        - math.sqrt((1.0 - a) * (1.0 - b)) * np.arctan2(math.sqrt(1.0 - b) * s, math.sqrt(1.0 - a) * c)
+    )
 
 
 def cdf(x, params: WachterParams):
     """Cumulative distribution function, accurate to well below 1e-8."""
-    out = _table(params).cdf(x)
+    x = np.asarray(x, dtype=float)
+    lo, hi = params.lambda_minus, params.lambda_plus
+    theta = np.arctan2(np.sqrt(np.maximum(x - lo, 0.0)), np.sqrt(np.maximum(hi - x, 0.0)))
+    F = np.clip(_angle_cdf(theta, params), 0.0, 1.0)
+    out = np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, F))
     return out if out.ndim else float(out)
 
 
 def ppf(q, params: WachterParams):
-    """Quantile function (inverse of :func:`cdf`) on [0, 1]."""
+    """Quantile function (inverse of :func:`cdf`) on [0, 1].
+
+    Bisects the edge angle theta on [0, pi/2], the variable the closed form
+    is written in.  Levels 0 and 1 map to the edges exactly.
+    """
     q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0) or np.any(q > 1.0):
+    if not np.all((q >= 0.0) & (q <= 1.0)):
         raise InvalidParams("quantile levels must lie in [0, 1]")
-    out = _table(params).ppf(q)
+    below_th, above_th = np.zeros_like(q), np.full_like(q, np.pi / 2.0)
+    for _ in range(60):
+        mid = 0.5 * (below_th + above_th)
+        below = _angle_cdf(mid, params) < q
+        below_th = np.where(below, mid, below_th)
+        above_th = np.where(below, above_th, mid)
+    lo, hi = params.lambda_minus, params.lambda_plus
+    out = np.where(q == 0.0, lo, np.where(q == 1.0, hi, lo + (hi - lo) * np.sin(above_th) ** 2))
     return out if out.ndim else float(out)
 
 
@@ -236,7 +214,7 @@ def ks_distance(spec: Spectrum, params: WachterParams) -> float:
     """Kolmogorov sup-distance between the empirical CDF and the limit CDF."""
     xs = np.sort(spec.values)
     n = len(xs)
-    F = np.asarray(_table(params).cdf(xs))
+    F = np.asarray(cdf(xs, params))
     upper = np.max(np.arange(1, n + 1) / n - F)
     lower = np.max(F - np.arange(0, n) / n)
     return float(max(upper, lower))

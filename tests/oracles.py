@@ -23,10 +23,14 @@ from hdcca.cca_core import (
     _clip_unit_interval,
 )
 from hdcca.ensembles import Seed
-from hdcca.errors import DimensionMismatch, NotConverged, TooFewObservations
+from hdcca.errors import DimensionMismatch, HdccaError, TooFewObservations
 from hdcca.wachter import Spectrum
 
 _SEQ_MAX_ITER = 2000
+
+
+class NotConverged(HdccaError):
+    """Iterative maximization stalled; retry with more restarts."""
 
 
 def sample_cca_projector_oracle(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> Spectrum:

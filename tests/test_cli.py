@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hdcca import hyptest
 from hdcca.cli import main
 from hdcca.dataio import (
+    SPECTRUM_SCHEMA,
     load_panel_csv,
     load_spectrum_json,
     load_timeseries_csv,
@@ -267,12 +270,45 @@ class TestPipelines:
         assert "cca" in proc.stdout
 
     def test_import_leaves_scipy_interpolate_out(self):
-        # no part of scipy at all: the kernel is numpy alone, and only the Wachter CDF imports scipy, lazily
+        # no part of scipy at all: hdcca needs numpy alone at run time
         for module in ("hdcca.cli", "hdcca"):
             code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "[]", module
+
+    def test_wachter_law_and_histogram_leave_scipy_out(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        save_spectrum_json(spec, Spectrum(np.array([0.5, 0.3, 0.2])))
+        code = (
+            "import sys\n"
+            "from hdcca import wachter\n"
+            "from hdcca.cli import main\n"
+            "p = wachter.WachterParams(5.0, 3.0)\n"
+            "wachter.cdf([0.1, 0.4], p), wachter.ppf([0.0, 0.5, 1.0], p)\n"
+            "wachter.ks_distance(wachter.Spectrum([0.5, 0.3, 0.2]), p)\n"
+            f"assert main(['histogram', '--spectrum', {str(spec)!r}, '--tau-k', '5', '--tau-m', '3',\n"
+            f"             '--bins', '5', '--output', {str(tmp_path / 'h.csv')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_runtime_needs_numpy_alone(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).parent.parent
+        deps = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+        assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
+        for path in sorted((root / "src" / "hdcca").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
     def test_missing_tabulate_dimensions_exit_code(self, tmp_path, capsys):
         code = run_cli(
@@ -456,6 +492,15 @@ class TestBadInput:
         err = error_of(capsys)
         assert err["error"] == "InputFormatError"
         assert f"{bad}, line 3: column {column} is not finite" in err["message"]
+
+    def test_non_finite_spectrum(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"schema": SPECTRUM_SCHEMA, "values": [float("nan"), 0.3]}))
+        argv = ["histogram", "--spectrum", str(spec), "--tau-k", "5", "--tau-m", "3", "--bins", "5"]
+        assert run_cli(argv, tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InputFormatError"
+        assert str(spec) in err["message"] and "finite" in err["message"]
 
     @pytest.mark.parametrize("text", ["not json", '{"version": 1}', "[1]"], ids=["text", "no-fields", "list"])
     def test_malformed_table_file(self, tmp_path, capsys, text):

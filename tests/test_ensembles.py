@@ -15,11 +15,15 @@ from hdcca.ensembles import (
     jacobi_eigenvalue_logdensity,
     laguerre_spectra,
     manova_spectra,
-    sample_gaussian_panel,
 )
 from hdcca.errors import DimensionMismatch, OutOfSimplex, ParameterRange
 from hdcca.wachter import WachterParams, pdf, support
 from oracles import dense_manova_spectra
+
+
+def sample_gaussian_panel(K: int, S: int, seed: Seed) -> DataPanel:
+    """K x S panel of independent standard normal entries."""
+    return DataPanel(seed.generator().standard_normal((K, S)))
 
 
 class TestSeed:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, kstest
 
-from hdcca import ensembles, hyptest, wachter
+from hdcca import ensembles, hyptest
 from hdcca.cca_core import DataPanel
 from hdcca.cointegration import VarModel, coint_test_large, coint_test_small, simulate_var1
 from hdcca.ensembles import Seed, manova_spectra
@@ -168,7 +168,7 @@ class TestTabulateAiry1Sums:
         tables = [tabulate_airy1_sums(r, (0.5,), 100, 50, Seed(30, 7)) for r in (1, 2, 3)]
         assert len(calls) == 1
         assert tables[0].entries[0][1] > tables[2].entries[0][1]
-        for memo in (hyptest._airy_partial_sums, ensembles._ds_spectra, wachter._table):
+        for memo in (hyptest._airy_partial_sums, ensembles._ds_spectra):
             assert memo.cache_info().maxsize == 8
 
 

@@ -100,6 +100,45 @@ class TestCdf:
         vals = cdf(xs, P)
         assert np.all(np.diff(vals) >= 0.0)
 
+    def test_nan_stays_nan(self):
+        assert np.isnan(cdf(np.nan, P))
+
+    @pytest.mark.parametrize("q", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
+    def test_ppf_rejects_nan_levels(self, q):
+        with pytest.raises(InvalidParams, match="quantile levels"):
+            ppf(q, P)
+
+
+@pytest.mark.parametrize(
+    "tau_k, tau_m", [(5.0, 3.0), (10.98, 5.52), (100.0, 3.0), (5.0, 10.0 / 3.0), (3.0, 3.0), (2.5, 2.5)]
+)
+class TestClosedFormCdf:
+    def test_against_adaptive_quadrature(self, tau_k, tau_m):
+        # quad of pdf in the edge angle, where the integrand is smooth even at a zero lower edge
+        p = WachterParams(tau_k, tau_m)
+        lo, hi = support(p)
+        for x0 in np.linspace(lo, hi, 41)[1:-1]:
+            theta0 = np.arcsin(np.sqrt((x0 - lo) / (hi - lo)))
+            target, _ = quad(
+                lambda t: pdf(lo + (hi - lo) * np.sin(t) ** 2, p) * (hi - lo) * np.sin(2.0 * t),
+                0.0, theta0, epsabs=3e-14, epsrel=0.0, limit=200,
+            )
+            assert abs(cdf(x0, p) - target) < 1e-13
+
+    def test_ppf_round_trip(self, tau_k, tau_m):
+        p = WachterParams(tau_k, tau_m)
+        q = np.linspace(0.0, 1.0, 1001)
+        assert np.max(np.abs(cdf(ppf(q, p), p) - q)) < 1e-12
+
+    def test_exact_endpoints(self, tau_k, tau_m):
+        p = WachterParams(tau_k, tau_m)
+        lo, hi = support(p)
+        assert ppf(0.0, p) == lo and ppf(1.0, p) == hi
+        assert cdf(lo, p) == 0.0 and cdf(hi, p) == 1.0
+
+    def test_monotone_on_a_fine_grid(self, tau_k, tau_m):
+        assert np.all(np.diff(cdf(np.linspace(0.0, 1.0, 200_001), WachterParams(tau_k, tau_m))) >= 0.0)
+
 
 class TestStieltjes:
     def test_real_point_against_quadrature(self):
@@ -180,3 +219,8 @@ class TestKsDistance:
     def test_empty_spectrum_forbidden(self):
         with pytest.raises(InvalidParams):
             Spectrum(np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum_forbidden(self, bad):
+        with pytest.raises(InvalidParams, match="finite"):
+            Spectrum(np.array([bad, 0.3]))
