@@ -352,7 +352,7 @@ def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> Coupling
         X = _simulate_var1_rng(model, T, seed.block_generator(rep))
         lam1[rep] = modified_lambdas(X).values[0]
     jacobi_seed = Seed(seed.value, seed.stream + 1)
-    x1 = manova_spectra(K, 2 * K - 1, T - K - 1, nsamples, jacobi_seed)[:, -1]
+    x1 = manova_spectra(K, 2 * K - 1, T - K - 1, nsamples, jacobi_seed, top=1)[:, -1]
     _, hi, _, c2 = _large_k_constants(K, T)
     mean_lambda1, mean_x1 = float(np.mean(lam1)), float(np.mean(x1))
     return CouplingReport(

@@ -196,6 +196,8 @@ def _empirical_quantiles(samples: np.ndarray, alphas) -> tuple:
     alphas = sorted(float(a) for a in alphas)
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise InvalidParams(f"levels must lie in (0, 1): {alphas}")
+    if len(set(alphas)) < len(alphas):
+        raise InvalidParams(f"levels must be distinct: {alphas}")
     qs = np.quantile(np.sort(samples), alphas)
     return tuple(zip(alphas, (float(q) for q in qs)))
 
@@ -230,12 +232,9 @@ def _airy_partial_sums(
     K = sim_size
     M = int(round(m_ratio * K))
     S = int(round(s_ratio * K))
-    L, Q = M, S - M
     params = WachterParams(tau_k=S / K, tau_m=S / M)
     c_plus = upper_edge_constant(params)
-    spectra = manova_spectra(K, L, Q, nsamples, seed)
-    r_top = min(_AIRY_MAX_R, K)
-    top = spectra[:, -r_top:][:, ::-1]
+    top = manova_spectra(K, M, S - M, nsamples, seed, top=min(_AIRY_MAX_R, K))[:, ::-1]
     rescaled = K ** (2.0 / 3.0) * c_plus ** (2.0 / 3.0) * (top - params.lambda_plus)
     sums = np.cumsum(rescaled, axis=1)
     sums.setflags(write=False)

@@ -445,13 +445,15 @@ class TestBadInput:
               "--output", "{file}/t.json"], "FileExistsError"),
             (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
               "--table-cache-dir", "{file}"], "FileExistsError"),
+            (["tabulate", "--statistic", "airy1-sum", "--r", "1", "--nsamples", "20", "--alphas", "0.9,0.9",
+              "--output", "{dir}/t.json"], "InvalidParams"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
              "alpha-range", "bins-floor", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
-             "tabulate-output-under-file", "cache-dir-is-file"],
+             "tabulate-output-under-file", "cache-dir-is-file", "repeated-level"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         (tmp_path / "dir").mkdir()

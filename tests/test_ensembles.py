@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+from hdcca import ensembles
 from hdcca.cca_core import DataPanel, sample_cca
 from hdcca.ensembles import (
     DS_TEST_FUNCTIONS,
@@ -16,7 +17,7 @@ from hdcca.ensembles import (
     laguerre_spectra,
     manova_spectra,
 )
-from hdcca.errors import DimensionMismatch, OutOfSimplex, ParameterRange
+from hdcca.errors import DimensionMismatch, InvalidParams, OutOfSimplex, ParameterRange
 from hdcca.wachter import WachterParams, pdf, support
 from oracles import dense_manova_spectra
 
@@ -113,6 +114,58 @@ class TestManova:
             manova_spectra(5, 4, 9, 1, Seed(0))
         with pytest.raises(DimensionMismatch):
             manova_spectra(5, 9, 4, 1, Seed(0))
+
+
+class TestManovaTop:
+    """The top-r path reads the dense path's Beta variates, so the two agree draw for draw."""
+
+    @pytest.mark.parametrize(
+        "K, L, Q, n",
+        [
+            (2, 3, 7, 4100),  # one block of 4096 draws and a second block
+            (33, 50, 120, 3700),  # a batch is one 3673-draw block: crosses both
+            (60, 90, 210, 3400),  # three 1111-draw blocks a batch: crosses a batch mid-run
+            (100, 150, 350, 401),  # 400-draw blocks, ten a batch
+            (100, 150, 350, 1000),
+            (400, 600, 1400, 60),  # 25-draw blocks
+        ],
+    )
+    def test_matches_the_dense_solve_at_the_same_seed(self, K, L, Q, n):
+        dense = manova_spectra(K, L, Q, n, Seed(83))
+        for top in sorted({1, min(10, K - 1)}):
+            fast = manova_spectra(K, L, Q, n, Seed(83), top=top)
+            assert fast.shape == (n, top)
+            np.testing.assert_allclose(fast, dense[:, -top:], rtol=0.0, atol=1e-13)
+
+    def test_top_equal_to_k_is_the_dense_path(self):
+        dense = manova_spectra(10, 15, 35, 50, Seed(84))
+        np.testing.assert_array_equal(manova_spectra(10, 15, 35, 50, Seed(84), top=10), dense)
+
+    @pytest.mark.parametrize("top", [0, -1, 6])
+    def test_top_outside_one_to_k_rejected(self, top):
+        with pytest.raises(InvalidParams):
+            manova_spectra(5, 9, 9, 1, Seed(0), top=top)
+
+    @pytest.mark.parametrize(
+        "diag, off, top, expected",
+        [
+            # q_1 = 0.5 - 0.5 = 0 at the first midpoint; b^2 = 0.01 sends q_2 to -inf.  A 2 x 2
+            # with top 2 would take the dense path, so 0.1 rides along, decoupled.
+            ([0.5, 0.5], [0.1], 1, [0.6]),
+            ([0.5, 0.5, 0.1], [0.1, 0.0], 2, [0.4, 0.6]),
+            # b^2 = 0: without the floor, 0/0 = nan
+            ([0.5, 0.5], [0.0], 1, [0.5]),
+            ([0.5, 0.5, 0.1], [0.0, 0.0], 2, [0.5, 0.5]),
+            # the nan would hide the negative pivots of 0.1 and 0.2, and 0.2 would read 0.5
+            ([0.5, 0.5, 0.1, 0.2], [0.0, 0.0, 0.0], 3, [0.2, 0.5, 0.5]),
+        ],
+        ids=["zero-pivot-2x2", "zero-pivot", "zero-off-diagonal-2x2", "zero-off-diagonal",
+             "zero-off-diagonal-hides-pivots"],
+    )
+    def test_bisection_through_a_zero_pivot(self, diag, off, top, expected):
+        with np.errstate(all="raise"):  # only the guarded division by a zero pivot may happen
+            got = ensembles._tridiagonal_top(np.array([diag]), np.array([off]), top)
+        np.testing.assert_allclose(got, [expected], rtol=0.0, atol=1e-13)
 
 
 class TestJacobiLogDensity:

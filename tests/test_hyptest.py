@@ -9,7 +9,7 @@ from hdcca import ensembles, hyptest
 from hdcca.cca_core import DataPanel
 from hdcca.cointegration import VarModel, coint_test_large, coint_test_small, simulate_var1
 from hdcca.ensembles import Seed, manova_spectra
-from hdcca.errors import InvalidRegime, TableMismatch
+from hdcca.errors import InvalidParams, InvalidRegime, TableMismatch
 from hdcca.hyptest import (
     STATISTIC_AIRY1_SUM,
     STATISTIC_BROWNIAN_COINT,
@@ -152,6 +152,10 @@ class TestTabulateAiry1Sums:
         a = tabulate_airy1_sums(1, (0.5,), 200, 1200, Seed(28))
         b = tabulate_airy1_sums(1, (0.5,), 400, 1200, Seed(29))
         assert abs(a.entries[0][1] - b.entries[0][1]) < 0.1
+
+    def test_repeated_level_is_an_input_error(self):
+        with pytest.raises(InvalidParams, match="levels must be distinct"):
+            tabulate_airy1_sums(1, (0.9, 0.5, 0.9), 100, 20, Seed(0))
 
     def test_size_floor_enforced(self):
         with pytest.raises(Exception):
