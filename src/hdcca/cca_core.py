@@ -255,7 +255,7 @@ def _sample_factors(U: DataPanel, V: DataPanel, tol: float) -> tuple:
     return Lu, Lv, U.values @ V.values.T
 
 
-def _sample_spectrum(U: DataPanel, V: DataPanel) -> np.ndarray:
+def sample_spectrum(U: DataPanel, V: DataPanel) -> np.ndarray:
     """``sample_cca(U, V).correlations_sq`` without the canonical vectors.
 
     The same checks, factors and whitening, then the eigenvalues of the

@@ -32,7 +32,7 @@ from . import cointegration, dataio, hyptest
 from .cca_core import sample_cca
 from .cointegration import VarModel
 from .ensembles import Seed
-from .errors import HdccaError, InputFormatError, TableMismatch
+from .errors import DimensionMismatch, HdccaError, InputFormatError, TableMismatch
 from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, STATISTIC_LAGUERRE_MAX, QuantileTable
 from .spike import simulate_spiked_panels
 from .wachter import WachterParams
@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
         dataio.save_panel_csv(args.output_v, V)
     else:  # var1
         if args.pi_corner:
+            if args.k < 1:
+                raise DimensionMismatch(f"--pi-corner needs --k >= 1, got {args.k}")
             pi = np.zeros((args.k, args.k))
             pi[0, 0] = -1.0
         else:

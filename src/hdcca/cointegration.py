@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cca_core import DataPanel, _sample_spectrum
+from .cca_core import DataPanel, sample_spectrum
 from .ensembles import Seed, _fill_blocks, manova_spectra
 from .errors import (
     DimensionMismatch,
@@ -71,6 +71,8 @@ class VarModel:
         lam = np.array(self.lam, dtype=float, copy=True)
         x0 = np.array(self.x0, dtype=float, copy=True).reshape(-1)
         K = pi.shape[0]
+        if K < 1:
+            raise DimensionMismatch(f"need K >= 1 variables, got pi of shape {pi.shape}")
         if pi.shape != (K, K) or lam.shape != (K, K) or x0.shape != (K,):
             raise DimensionMismatch(
                 f"inconsistent shapes: pi {pi.shape}, lam {lam.shape}, x0 {x0.shape}"
@@ -128,7 +130,7 @@ def make_pi_rank_r(K: int, r: int, scale: float, seed: Seed) -> np.ndarray:
     pi = scale * Q @ Q.T
     sv = np.linalg.svd(pi, compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * max(sv[0], 1.0)))
-    if rank != r:  # pragma: no cover - QR of a Gaussian frame is a.s. full rank
+    if rank != r:
         raise InvalidParams(f"constructed matrix has numeric rank {rank}, wanted {r}")
     return pi
 
@@ -139,7 +141,7 @@ def johansen_lambdas(X: TimeSeriesPanel) -> Spectrum:
         raise TooFewObservations(f"need 2K <= T, got K={X.K}, T={X.T}")
     dX = np.diff(X.X, axis=1)
     lag = X.X[:, :-1]
-    return Spectrum(values=_sample_spectrum(DataPanel(dX), DataPanel(lag)), meta={"K": X.K, "T": X.T})
+    return Spectrum(values=sample_spectrum(DataPanel(dX), DataPanel(lag)), meta={"K": X.K, "T": X.T})
 
 
 def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
@@ -234,7 +236,7 @@ def modified_lambdas(X: TimeSeriesPanel) -> Spectrum:
     detrended = lag - np.outer(X.X[:, T] - X.X[:, 0], trend)
     U = dX - dX.mean(axis=1, keepdims=True)
     V = detrended - detrended.mean(axis=1, keepdims=True)
-    return Spectrum(values=_sample_spectrum(DataPanel(U), DataPanel(V)), meta={"K": K, "T": T, "modified": True})
+    return Spectrum(values=sample_spectrum(DataPanel(U), DataPanel(V)), meta={"K": K, "T": T, "modified": True})
 
 
 def coint_lambda_pm(tau: float) -> tuple[float, float]:

@@ -1,11 +1,11 @@
 """CSV and JSON file formats for the command-line tools.
 
 Data panel CSV: one header row (labels are ignored), then one row per
-variable, every field numeric; columns are observations.
+variable, every field a finite number; columns are observations.
 
 Time-series CSV: one header row, then one row per time point 0..T; the
 first column is the integer time index, the remaining K columns are the
-variables.
+variables, every field a finite number.
 
 Spectrum JSON: ``{"schema": "hdcca.spectrum/1", "values": [...],
 "meta": {...}}`` with values sorted descending in [0, 1].
@@ -14,7 +14,7 @@ Histogram CSV: header ``bin_center,empirical_density,wachter_density``,
 then one row per equal-width bin over [0, 1]; fields are Python float
 reprs, so reruns are byte-identical.
 
-Parse errors carry the 1-based line number of the offending row.
+Data rows must be as wide as the first; errors name file, line and column.
 """
 
 from __future__ import annotations
@@ -34,20 +34,6 @@ from .wachter import Spectrum, WachterParams, pdf
 SPECTRUM_SCHEMA = "hdcca.spectrum/1"
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise InputFormatError(f"{path}: cannot read file: {e}") from e
-    rows = []
-    for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-        if row and any(field.strip() for field in row):
-            rows.append((lineno, row))
-    if len(rows) < 2:
-        raise InputFormatError(f"{path}: need a header row plus at least one data row")
-    return rows
-
-
 def _parse_float(field: str, path, lineno: int, col: int) -> float:
     try:
         value = float(field)
@@ -60,62 +46,54 @@ def _parse_float(field: str, path, lineno: int, col: int) -> float:
     return value
 
 
-def load_panel_csv(path) -> DataPanel:
-    rows = _read_rows(path)
+def _read_matrix(path) -> tuple[list[int], np.ndarray]:
+    """Line numbers and values of the data rows: the header and blank lines are skipped."""
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise InputFormatError(f"{path}: cannot read file: {e}") from e
+    rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1) if any(map(str.strip, row))]
+    if len(rows) < 2:
+        raise InputFormatError(f"{path}: need a header row plus at least one data row")
     data = []
-    width = None
     for lineno, row in rows[1:]:
-        vals = [_parse_float(f, path, lineno, i + 1) for i, f in enumerate(row)]
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise InputFormatError(
-                f"{path}, line {lineno}: expected {width} observations, got {len(vals)}"
-            )
+        vals = [_parse_float(f, path, lineno, col) for col, f in enumerate(row, start=1)]
+        if data and len(vals) != len(data[0]):
+            raise InputFormatError(f"{path}, line {lineno}: expected {len(data[0])} fields, got {len(vals)}")
         data.append(vals)
-    return DataPanel(np.asarray(data))
+    return [n for n, _ in rows[1:]], np.asarray(data)
+
+
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def load_panel_csv(path) -> DataPanel:
+    return DataPanel(_read_matrix(path)[1])
 
 
 def save_panel_csv(path, panel: DataPanel) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"obs_{j}" for j in range(panel.cols)])
-        for row in panel.values:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, [f"obs_{j}" for j in range(panel.cols)], (row.tolist() for row in panel.values))
 
 
 def load_timeseries_csv(path) -> TimeSeriesPanel:
-    rows = _read_rows(path)
-    data = []
-    width = None
-    for expected_t, (lineno, row) in enumerate(rows[1:]):
-        if len(row) < 2:
+    linenos, data = _read_matrix(path)
+    if data.shape[1] < 2:
+        raise InputFormatError(f"{path}, line {linenos[0]}: need a time index plus at least one variable")
+    for t, (lineno, value) in enumerate(zip(linenos, data[:, 0].tolist())):
+        if value != t:
             raise InputFormatError(
-                f"{path}, line {lineno}: need a time index plus at least one variable"
+                f"{path}, line {lineno}: time index must run 0..T in order, expected {t}, got {value}"
             )
-        t = _parse_float(row[0], path, lineno, 1)
-        if t != expected_t:
-            raise InputFormatError(
-                f"{path}, line {lineno}: time index must run 0..T in order, "
-                f"expected {expected_t}, got {row[0]!r}"
-            )
-        vals = [_parse_float(f, path, lineno, i + 2) for i, f in enumerate(row[1:])]
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise InputFormatError(
-                f"{path}, line {lineno}: expected {width} variables, got {len(vals)}"
-            )
-        data.append(vals)
-    return TimeSeriesPanel(np.asarray(data).T)
+    return TimeSeriesPanel(data[:, 1:].T)
 
 
 def save_timeseries_csv(path, ts: TimeSeriesPanel) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{i}" for i in range(ts.K)])
-        for t in range(ts.T + 1):
-            writer.writerow([t] + [repr(float(v)) for v in ts.X[:, t]])
+    header = ["t", *(f"x_{i}" for i in range(ts.K))]
+    _write_csv(path, header, ([t, *ts.X[:, t].tolist()] for t in range(ts.T + 1)))
 
 
 def load_spectrum_json(path) -> Spectrum:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cca_core import DataPanel, _sample_spectrum
+from .cca_core import DataPanel, sample_spectrum
 from .ensembles import Seed, laguerre_spectra, manova_spectra
 from .errors import InvalidParams, InvalidRegime, TableMismatch
 from .wachter import WachterParams, upper_edge_constant
@@ -91,7 +91,7 @@ class QuantileTable:
         if found != (statistic_id, params):
             raise TableMismatch(f"table is {found}, test needs {(statistic_id, params)}")
 
-    def to_json_dict(self) -> dict:
+    def dumps(self) -> str:
         doc = {
             "version": TABLE_FORMAT_VERSION,
             "statistic_id": self.statistic_id,
@@ -102,29 +102,23 @@ class QuantileTable:
         }
         if self.built_at is not None:
             doc["built_at"] = self.built_at
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "QuantileTable":
-        if doc.get("version") != TABLE_FORMAT_VERSION:
-            raise TableMismatch(f"unsupported table version {doc.get('version')!r}")
-        return cls(
-            statistic_id=doc["statistic_id"],
-            params=doc["params"],
-            entries=tuple((e["alpha"], e["q"]) for e in doc["entries"]),
-            nsamples=int(doc["nsamples"]),
-            seed=Seed(int(doc["seed"]["value"]), int(doc["seed"]["stream"])),
-            built_at=doc.get("built_at"),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def loads(cls, text: str) -> "QuantileTable":
         """Parse a table document; malformed input raises TableMismatch."""
         try:
-            return cls.from_json_dict(json.loads(text))
+            doc = json.loads(text)
+            if doc.get("version") != TABLE_FORMAT_VERSION:
+                raise TableMismatch(f"unsupported table version {doc.get('version')!r}")
+            return cls(
+                statistic_id=doc["statistic_id"],
+                params=doc["params"],
+                entries=tuple((e["alpha"], e["q"]) for e in doc["entries"]),
+                nsamples=int(doc["nsamples"]),
+                seed=Seed(int(doc["seed"]["value"]), int(doc["seed"]["stream"])),
+                built_at=doc.get("built_at"),
+            )
         except TableMismatch:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as e:
@@ -198,7 +192,7 @@ def _empirical_quantiles(samples: np.ndarray, alphas) -> tuple:
         raise InvalidParams(f"levels must lie in (0, 1): {alphas}")
     if len(set(alphas)) < len(alphas):
         raise InvalidParams(f"levels must be distinct: {alphas}")
-    qs = np.quantile(np.sort(samples), alphas)
+    qs = np.quantile(samples, alphas)
     return tuple(zip(alphas, (float(q) for q in qs)))
 
 
@@ -276,7 +270,7 @@ def independence_test_small(
     k, m = sorted((U.rows, V.rows))
     table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m)
     S = U.cols
-    top = float(_sample_spectrum(U, V)[0])
+    top = float(sample_spectrum(U, V)[0])
     statistic = S * top
     threshold = table.threshold_for(alpha)
     return TestReport.decide(
@@ -310,7 +304,7 @@ def independence_test_large(
         params = WachterParams(tau_k=S / K, tau_m=S / M)
     except InvalidParams as e:
         raise InvalidRegime(f"plug-in ratios outside the valid region: {e}") from e
-    top = float(_sample_spectrum(U, V)[0])
+    top = float(sample_spectrum(U, V)[0])
     c_plus = upper_edge_constant(params)
     statistic = K ** (2.0 / 3.0) * c_plus ** (2.0 / 3.0) * (top - params.lambda_plus)
     threshold = table.threshold_for(alpha)

@@ -252,6 +252,8 @@ def simulate_spiked_panels(
     canonical vectors are coordinate vectors; the correlation law of any
     other covariance choice is identical.
     """
+    if min(K, M, S) < 1:
+        raise DimensionMismatch(f"need K, M, S >= 1, got K={K}, M={M}, S={S}")
     rho2s = np.atleast_1d(np.asarray(rho2s, dtype=float))
     if len(rho2s) > min(K, M):
         raise DimensionMismatch(f"at most min(K, M) = {min(K, M)} signals can be planted")

@@ -166,10 +166,9 @@ def ppf(q, params: WachterParams):
 def stieltjes(z, params: WachterParams) -> complex:
     """Stieltjes transform G(z) = int (z - x)^-1 d omega(x), z off the bulk.
 
-    The square root sqrt((z - l-)(z - l+)) takes the continuous branch
-    behaving like z at infinity, realized as the product of principal
-    square roots and checked (with a sign flip as fallback) against the
-    z G(z) -> 1 normalization far out along the ray through z.
+    The square root sqrt((z - l-)(z - l+)) takes the branch analytic off
+    [l-, l+] and behaving like z at infinity, which is the product of the
+    principal square roots sqrt(z - l-) sqrt(z - l+).
     """
     z = complex(z)
     lo, hi = params.lambda_minus, params.lambda_plus
@@ -178,16 +177,8 @@ def stieltjes(z, params: WachterParams) -> complex:
     if abs(z) < 1e-12 or abs(z - 1.0) < 1e-12:
         raise PoleOrBranchCut(f"z = {z} is a pole of the transform")
     ik, im = 1.0 / params.tau_k, 1.0 / params.tau_m
-
-    def transform(zz: complex, sign: float) -> complex:
-        w = sign * np.sqrt(zz - lo) * np.sqrt(zz - hi)
-        return (im + ik - zz + w) / (2.0 * ik * zz * (zz - 1.0)) + 1.0 / zz
-
-    sign = 1.0
-    far = 1e8 * z / abs(z)
-    if abs(far * transform(far, sign) - 1.0) > 0.5:
-        sign = -1.0
-    return transform(z, sign)
+    w = np.sqrt(z - lo) * np.sqrt(z - hi)
+    return (im + ik - z + w) / (2.0 * ik * z * (z - 1.0)) + 1.0 / z
 
 
 def edge_constants(params: WachterParams) -> tuple[float, float]:

@@ -6,11 +6,11 @@ from hdcca.cca_core import (
     CanonicalSystem,
     CovarianceTriple,
     DataPanel,
-    _sample_spectrum,
     _tri_inv,
     alignment_angle,
     population_cca,
     sample_cca,
+    sample_spectrum,
 )
 from hdcca.errors import (
     DimensionMismatch,
@@ -353,7 +353,7 @@ class TestSampleSpectrum:
     )
     def test_matches_the_full_path(self, make):
         U, V = make()
-        np.testing.assert_allclose(_sample_spectrum(U, V), sample_cca(U, V).correlations_sq, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sample_spectrum(U, V), sample_cca(U, V).correlations_sq, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "U, V, error",
@@ -368,5 +368,5 @@ class TestSampleSpectrum:
         with pytest.raises(error) as full:
             sample_cca(U, V)
         with pytest.raises(error) as short:
-            _sample_spectrum(U, V)
+            sample_spectrum(U, V)
         assert str(short.value) == str(full.value)

@@ -20,7 +20,8 @@ from hdcca.dataio import (
     save_timeseries_csv,
 )
 from hdcca.cca_core import DataPanel
-from hdcca.cointegration import TimeSeriesPanel
+from hdcca.cointegration import TimeSeriesPanel, VarModel, simulate_var1
+from hdcca.ensembles import Seed
 from hdcca.errors import InputFormatError
 from hdcca.hyptest import QuantileTable
 from hdcca.wachter import Spectrum, WachterParams, support
@@ -174,6 +175,15 @@ class TestHistogramCommand:
         inside_mass = np.sum(emp[~outside]) * width
         assert inside_mass > 0.9
 
+    def test_coint_tau_overlays_the_matched_ratio_pair(self, tmp_path):
+        path = tmp_path / "spec.json"
+        save_spectrum_json(path, Spectrum(np.array([0.6, 0.3, 0.1])))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        common = ["histogram", "--spectrum", str(path), "--bins", "10", "--output"]
+        assert run_cli([*common, str(a), "--coint-tau", "3"], tmp_path) == 0
+        assert run_cli([*common, str(b), "--tau-k", "4", "--tau-m", "2"], tmp_path) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_missing_overlay_parameters(self, tmp_path):
         path, _ = self._spectrum_file(tmp_path)
         assert run_cli(["histogram", "--spectrum", str(path)], tmp_path) == 2
@@ -223,6 +233,15 @@ class TestPipelines:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_pi_corner_series(self, tmp_path):
+        ts = tmp_path / "ts.csv"
+        argv = ["simulate", "var1", "--k", "3", "--t", "10", "--pi-corner", "--seed", "5", "--stream", "2"]
+        assert run_cli([*argv, "--output", str(ts)], tmp_path) == 0
+        corner = np.zeros((3, 3))
+        corner[0, 0] = -1.0
+        expected = simulate_var1(VarModel(corner, np.eye(3), np.zeros(3)), 10, Seed(5, 3))
+        np.testing.assert_array_equal(load_timeseries_csv(ts).X, expected.X)
 
     def test_tabulate_round_trip(self, tmp_path):
         out = tmp_path / "table.json"
@@ -387,6 +406,28 @@ class TestTableStore:
         assert json.loads(out.read_text())["threshold"] == table.threshold_for(0.95)
 
     @pytest.mark.parametrize(
+        "simulate, test",
+        [
+            (["panels", "--k", "50", "--m", "60", "--s", "300",
+              "--output-u", "{dir}/u.csv", "--output-v", "{dir}/v.csv"],
+             ["independence", "--u", "{dir}/u.csv", "--v", "{dir}/v.csv"]),
+            (["var1", "--k", "10", "--t", "100", "--output", "{dir}/ts.csv"],
+             ["coint", "--input", "{dir}/ts.csv", "--r", "2"]),
+        ],
+        ids=["independence", "coint"],
+    )
+    def test_large_regime_reads_its_stored_table(self, tmp_path, simulate, test):
+        simulate, test = ([a.format(dir=tmp_path) for a in argv] for argv in (simulate, test))
+        assert run_cli(["simulate", *simulate], tmp_path) == 0
+        out = tmp_path / "report.json"
+        argv = [*test, "--regime", "large", "--sim-size", "100", "--nsamples", "200", "--output", str(out)]
+        assert run_cli(argv, tmp_path) in (0, 3)
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "hdcca.report/1"
+        [table] = (tmp_path / "cache").iterdir()
+        assert doc["threshold"] == QuantileTable.load(table).threshold_for(0.95)
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda doc: doc.update(statistic_id="BROWNIAN_COINT"),
@@ -447,13 +488,20 @@ class TestBadInput:
               "--table-cache-dir", "{file}"], "FileExistsError"),
             (["tabulate", "--statistic", "airy1-sum", "--r", "1", "--nsamples", "20", "--alphas", "0.9,0.9",
               "--output", "{dir}/t.json"], "InvalidParams"),
+            (["simulate", "panels", "--k", "2", "--m", "3", "--s", "-5"], "DimensionMismatch"),
+            (["simulate", "var1", "--k", "-1", "--t", "10", "--pi-corner"], "DimensionMismatch"),
+            (["simulate", "var1", "--k", "0", "--t", "10", "--pi-corner"], "DimensionMismatch"),
+            (["simulate", "var1", "--k", "0", "--t", "10"], "DimensionMismatch"),
+            (["simulate", "var1", "--k", "3", "--t", "10", "--pi-rank", "1", "--pi-scale", "0"],
+             "InvalidParams"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
              "alpha-range", "bins-floor", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
-             "tabulate-output-under-file", "cache-dir-is-file", "repeated-level"],
+             "tabulate-output-under-file", "cache-dir-is-file", "repeated-level",
+             "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         (tmp_path / "dir").mkdir()

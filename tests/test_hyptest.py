@@ -206,6 +206,11 @@ class TestIndependenceLarge:
         with pytest.raises(InvalidRegime):
             independence_test_large(U, V, 0.95, airy_table_r1)
 
+    def test_panel_order_does_not_matter(self, airy_table_r1):
+        U, V = simulate_spiked_panels(100, 150, 800, [0.3], Seed(36))
+        swapped = independence_test_large(V, U, 0.95, airy_table_r1)
+        assert swapped == independence_test_large(U, V, 0.95, airy_table_r1)
+
     def test_wrong_table_kind_rejected(self, laguerre_table_23):
         U, V = simulate_spiked_panels(60, 70, 500, [], Seed(34))
         with pytest.raises(TableMismatch):

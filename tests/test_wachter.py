@@ -152,8 +152,8 @@ class TestStieltjes:
             assert G.real == pytest.approx(target, abs=1e-8)
 
     def test_asymptotic_normalization(self):
-        for ang in (0.0, 0.7, 2.0, -1.1):
-            z = 1e6 * np.exp(1j * ang)
+        rays = [1e6 * np.exp(1j * ang) for ang in (0.0, 0.7, 2.0, -1.1, np.pi, -np.pi)]
+        for z in (*rays, complex(-1e6, 0.0), complex(-1e6, -0.0)):
             assert abs(z * stieltjes(z, P) - 1.0) < 1e-5
 
     def test_quadratic_equation_residual(self):
