@@ -283,6 +283,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--table-cache-dir", help="quantile table cache directory")
 
 
+def _add_test_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
+    p.add_argument("--regime", choices=("small", "large"), required=True)
+    p.add_argument("--table", help="quantile table JSON (tabulated on demand if omitted)")
+    p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
+    p.add_argument("--sim-size", type=int, default=100, help="internal spectrum size for edge tabulation")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hdcca",
@@ -309,23 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("independence", help="test independence of two panels")
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
-    p.add_argument("--regime", choices=("small", "large"), required=True)
-    p.add_argument("--table", help="quantile table JSON (tabulated on demand if omitted)")
-    p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
-    p.add_argument("--sim-size", type=int, default=100, help="internal spectrum size for edge tabulation")
+    _add_test_options(p)
     _add_common(p)
     p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("coint", help="test for cointegration in a time-series CSV")
     p.add_argument("--input", required=True, help="time-series CSV")
-    p.add_argument("--alpha", type=float, default=0.95)
     p.add_argument("--r", type=int, default=1, help="cointegration rank under the alternative")
-    p.add_argument("--regime", choices=("small", "large"), required=True)
-    p.add_argument("--table", help="quantile table JSON (tabulated on demand if omitted)")
-    p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
     p.add_argument("--n-grid", type=int, default=1000, help="Brownian discretization steps")
-    p.add_argument("--sim-size", type=int, default=100)
+    _add_test_options(p)
     _add_common(p)
     p.set_defaults(func=cmd_coint)
 
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1, help="number of top coordinates summed")
     p.add_argument("--sim-size", type=int, default=100)
     p.add_argument("--n-grid", type=int, default=1000)
-    p.add_argument("--alphas", default="0.9,0.95,0.99", help="comma-separated levels")
+    p.add_argument("--alphas", default=",".join(map(str, DEFAULT_ALPHAS)), help="comma-separated levels")
     p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
     _add_common(p)
     p.set_defaults(func=cmd_tabulate)

@@ -26,7 +26,7 @@ from .errors import (
     UnitCorrelation,
 )
 from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, QuantileTable, TestReport
-from .wachter import Spectrum
+from .wachter import Spectrum, WachterParams, upper_edge_constant
 
 _SMALL_K_WARN = 10
 _LARGE_RATIO_WARN = 2.5
@@ -39,15 +39,9 @@ class TimeSeriesPanel:
     X: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.X, dtype=float, order="C", copy=True)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"series must be 2-d (K x (T+1)), got {arr.shape}")
-        if arr.shape[1] < 3:
+        object.__setattr__(self, "X", DataPanel(self.X).values)
+        if self.T < 2:
             raise DimensionMismatch("series needs horizon T >= 2, i.e. at least 3 columns")
-        if not np.all(np.isfinite(arr)):
-            raise DimensionMismatch("series entries must all be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "X", arr)
 
     @property
     def K(self) -> int:
@@ -214,8 +208,8 @@ def coint_test_small(
         )
     statistic = trace_statistic(johansen_lambdas(X), r, X.T)
     threshold = -0.5 * table.threshold_for(alpha)
-    return TestReport.decide(
-        statistic, threshold, alpha, "small_dim", statistic < threshold, {"K": X.K, "T": X.T, "r": r}
+    return TestReport(
+        statistic, threshold, alpha, statistic < threshold, "small_dim", {"K": X.K, "T": X.T, "r": r}
     )
 
 
@@ -254,16 +248,12 @@ def coint_lambda_pm(tau: float) -> tuple[float, float]:
 
 
 def _large_k_constants(K: int, T: int) -> tuple[float, float, float, float]:
+    """Edges (lo, hi), log-gap c1 = log(1 - hi) and edge scale c2 = -c_plus^(-2/3) / (1 - hi)
+    of the null modified spectrum's Wachter law, ratio pair (1 + tau, (1 + tau) / 2), tau = T/K."""
     tau = T / K
     lo, hi = coint_lambda_pm(tau)
-    c1 = math.log1p(-hi)
-    c2 = (
-        -(2.0 ** (2.0 / 3.0))
-        * hi ** (2.0 / 3.0)
-        / ((1.0 - hi) ** (1.0 / 3.0) * (hi - lo) ** (1.0 / 3.0))
-        * (tau + 1.0) ** (-2.0 / 3.0)
-    )
-    return lo, hi, c1, c2
+    c2 = -upper_edge_constant(WachterParams(1.0 + tau, (1.0 + tau) / 2.0)) ** (-2.0 / 3.0) / (1.0 - hi)
+    return lo, hi, math.log1p(-hi), c2
 
 
 def coint_test_large(
@@ -296,8 +286,8 @@ def coint_test_large(
     log_sum = float(np.sum(np.log1p(-spec.values[:r])))
     statistic = (log_sum - r * c1) / (K ** (-2.0 / 3.0) * c2)
     threshold = airy_table.threshold_for(alpha)
-    return TestReport.decide(
-        statistic, threshold, alpha, "large_dim", statistic > threshold,
+    return TestReport(
+        statistic, threshold, alpha, statistic > threshold, "large_dim",
         {"K": K, "T": T, "r": r, "c1": c1, "c2": c2, "tau": tau},
     )
 

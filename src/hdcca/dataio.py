@@ -3,7 +3,7 @@
 Data panel CSV: one header row (labels are ignored), then one row per
 variable, every field a finite number; columns are observations.
 
-Time-series CSV: one header row, then one row per time point 0..T; the
+Time-series CSV: one header row, then one row per time point 0..T, T >= 2; the
 first column is the integer time index, the remaining K columns are the
 variables, every field a finite number.
 
@@ -88,6 +88,8 @@ def load_timeseries_csv(path) -> TimeSeriesPanel:
             raise InputFormatError(
                 f"{path}, line {lineno}: time index must run 0..T in order, expected {t}, got {value}"
             )
+    if len(data) < 3:
+        raise InputFormatError(f"{path}, line {linenos[-1]}: need time points 0..T with T >= 2")
     return TimeSeriesPanel(data[:, 1:].T)
 
 
@@ -101,7 +103,7 @@ def load_spectrum_json(path) -> Spectrum:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise InputFormatError(f"{path}: cannot parse spectrum JSON: {e}") from e
-    if doc.get("schema") != SPECTRUM_SCHEMA:
+    if not isinstance(doc, dict) or doc.get("schema") != SPECTRUM_SCHEMA:
         raise InputFormatError(f"{path}: expected schema {SPECTRUM_SCHEMA!r}")
     try:
         return Spectrum(values=np.asarray(doc["values"], dtype=float), meta=doc.get("meta", {}))

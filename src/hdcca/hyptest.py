@@ -29,7 +29,7 @@ import numpy as np
 from .cca_core import DataPanel, sample_spectrum
 from .ensembles import Seed, laguerre_spectra, manova_spectra
 from .errors import InvalidParams, InvalidRegime, TableMismatch
-from .wachter import WachterParams, upper_edge_constant
+from .wachter import WachterParams, edge_scale, upper_edge_constant
 
 TABLE_FORMAT_VERSION = 1
 _AIRY_MAX_R = 10
@@ -148,27 +148,19 @@ class QuantileTable:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Decision record: the inequality defining `decision` is exactly the
-    one documented by the test that produced the report."""
+    """Decision record: `rejected` is the rejection inequality documented by the
+    test that produced the report; `decision` spells it "reject" or "fail_to_reject"."""
 
     statistic_value: float
     threshold: float
     alpha: float
-    decision: str  # "reject" | "fail_to_reject"
+    rejected: bool
     regime: str  # "small_dim" | "large_dim"
     diagnostics: dict = field(default_factory=dict)
 
-    @classmethod
-    def decide(
-        cls, statistic: float, threshold: float, alpha: float, regime: str, rejected: bool, diagnostics: dict
-    ) -> "TestReport":
-        """Report for a test whose rejection inequality evaluated to `rejected`."""
-        decision = "reject" if rejected else "fail_to_reject"
-        return cls(statistic, threshold, alpha, decision, regime, diagnostics)
-
     @property
-    def rejected(self) -> bool:
-        return self.decision == "reject"
+    def decision(self) -> str:
+        return "reject" if self.rejected else "fail_to_reject"
 
     def to_json_dict(self) -> dict:
         return {
@@ -227,9 +219,8 @@ def _airy_partial_sums(
     M = int(round(m_ratio * K))
     S = int(round(s_ratio * K))
     params = WachterParams(tau_k=S / K, tau_m=S / M)
-    c_plus = upper_edge_constant(params)
     top = manova_spectra(K, M, S - M, nsamples, seed, top=min(_AIRY_MAX_R, K))[:, ::-1]
-    rescaled = K ** (2.0 / 3.0) * c_plus ** (2.0 / 3.0) * (top - params.lambda_plus)
+    rescaled = edge_scale(params, K) * (top - params.lambda_plus)
     sums = np.cumsum(rescaled, axis=1)
     sums.setflags(write=False)
     return sums
@@ -273,8 +264,8 @@ def independence_test_small(
     top = float(sample_spectrum(U, V)[0])
     statistic = S * top
     threshold = table.threshold_for(alpha)
-    return TestReport.decide(
-        statistic, threshold, alpha, "small_dim", statistic > threshold,
+    return TestReport(
+        statistic, threshold, alpha, statistic > threshold, "small_dim",
         {"K": U.rows, "M": V.rows, "S": S, "top_corr_sq": top},
     )
 
@@ -305,10 +296,10 @@ def independence_test_large(
     except InvalidParams as e:
         raise InvalidRegime(f"plug-in ratios outside the valid region: {e}") from e
     top = float(sample_spectrum(U, V)[0])
-    c_plus = upper_edge_constant(params)
-    statistic = K ** (2.0 / 3.0) * c_plus ** (2.0 / 3.0) * (top - params.lambda_plus)
+    statistic = edge_scale(params, K) * (top - params.lambda_plus)
     threshold = table.threshold_for(alpha)
-    return TestReport.decide(
-        statistic, threshold, alpha, "large_dim", statistic > threshold,
-        {"K": K, "M": M, "S": S, "top_corr_sq": top, "lambda_plus": params.lambda_plus, "c_plus": c_plus},
+    return TestReport(
+        statistic, threshold, alpha, statistic > threshold, "large_dim",
+        {"K": K, "M": M, "S": S, "top_corr_sq": top, "lambda_plus": params.lambda_plus,
+         "c_plus": upper_edge_constant(params)},
     )

@@ -23,11 +23,12 @@ from .errors import (
     AboveOne,
     BelowEdge,
     DimensionMismatch,
+    InvalidParams,
     ParameterRange,
     PoleHit,
     Subcritical,
 )
-from .wachter import Spectrum, WachterParams, stieltjes, upper_edge_constant
+from .wachter import Spectrum, WachterParams, edge_scale, stieltjes
 
 DEFAULT_EDGE_BUFFER = 2.0
 
@@ -58,6 +59,14 @@ def detection_threshold(params: WachterParams) -> float:
     return 1.0 / math.sqrt((params.tau_m - 1.0) * (params.tau_k - 1.0))
 
 
+def _require_supercritical(rho2: float, params: WachterParams) -> None:
+    if not rho2 <= 1.0:
+        raise ParameterRange(f"rho2 must be <= 1, got {rho2}")
+    crit = detection_threshold(params)
+    if rho2 <= crit:
+        raise Subcritical(f"rho2 = {rho2} <= critical value {crit}: the outlier sticks to the bulk edge")
+
+
 def z_from_rho2(rho2: float, params: WachterParams) -> float:
     """Limiting outlier location for a supercritical signal of strength rho2.
 
@@ -65,13 +74,7 @@ def z_from_rho2(rho2: float, params: WachterParams) -> float:
     always exceeds the upper bulk edge in the supercritical range and
     overestimates rho2 itself for rho2 < 1.
     """
-    crit = detection_threshold(params)
-    if not rho2 <= 1.0:
-        raise ValueError(f"rho2 must be <= 1, got {rho2}")
-    if rho2 <= crit:
-        raise Subcritical(
-            f"rho2 = {rho2} <= critical value {crit}: the outlier sticks to the bulk edge"
-        )
+    _require_supercritical(rho2, params)
     tk, tm = params.tau_k, params.tau_m
     return ((tk - 1.0) * rho2 + 1.0) * ((tm - 1.0) * rho2 + 1.0) / (rho2 * tk * tm)
 
@@ -102,11 +105,7 @@ def predicted_angles(rho2: float, params: WachterParams) -> tuple[float, float]:
     Both formulas vanish as rho2 -> 1 and swap into each other under
     tau_k <-> tau_m.
     """
-    crit = detection_threshold(params)
-    if rho2 <= crit:
-        raise Subcritical(f"rho2 = {rho2} <= critical value {crit}")
-    if not rho2 <= 1.0:
-        raise ValueError(f"rho2 must be <= 1, got {rho2}")
+    _require_supercritical(rho2, params)
     tk, tm = params.tau_k, params.tau_m
     denom = (tm - 1.0) * (tk - 1.0) * rho2 - 1.0
     s_u = (1.0 - rho2) * (tk - 1.0) / denom * ((tm - 1.0) * rho2 + 1.0) / ((tk - 1.0) * rho2 + 1.0)
@@ -118,18 +117,16 @@ def estimate_signals(spec: Spectrum, params: WachterParams) -> SpikeReport:
     """Scan a spectrum for outliers and invert each back to a signal.
 
     A value counts as a signal when it exceeds
-    ``lambda_plus + DEFAULT_EDGE_BUFFER * K^(-2/3) * c_plus^(-2/3)``, i.e.
+    ``lambda_plus + DEFAULT_EDGE_BUFFER / edge_scale(params, K)``, i.e.
     the buffer is measured on the edge-fluctuation scale; its value 2.0
     keeps the null false-alarm rate around the upper percentiles of the
     edge law.  K comes from the spectrum's provenance metadata.  Inversion
     failures (implied strength above 1) propagate as ``AboveOne``.
     """
     if "K" not in spec.meta:
-        raise ValueError("spectrum needs provenance metadata with the panel dimension 'K'")
-    K = int(spec.meta["K"])
+        raise InvalidParams("spectrum needs provenance metadata with the panel dimension 'K'")
     hi = params.lambda_plus
-    c_plus = upper_edge_constant(params)
-    threshold = hi + DEFAULT_EDGE_BUFFER * K ** (-2.0 / 3.0) * c_plus ** (-2.0 / 3.0)
+    threshold = hi + DEFAULT_EDGE_BUFFER / edge_scale(params, int(spec.meta["K"]))
     signals = []
     for val in spec.values:
         if val <= threshold:
@@ -216,29 +213,20 @@ def master_equation_residual(
     nv = float(v_star @ v_star)
 
     den = z - c**2
-    num_cross_v = t * (c * p - z * q)       # j-sum of the cross bracket
-    num_cross_u = s * (p - c * q)           # i-sum of the cross bracket
-    num_bu = t**2 - 2.0 * c * t * s         # u-side bracket, first sum
-    num_bu2 = s**2                          # u-side bracket, z-weighted sum
-    num_bv = p**2 - 2.0 * c * p * q         # v-side bracket, first sum
-    num_bv2 = q**2                          # v-side bracket, z-weighted sum
-
-    tol_num = 1e-10 * (1.0 + nu) * (1.0 + nv) * (1.0 + abs(z))
+    num = np.stack([t * (c * p - z * q), s * (p - c * q),  # cross bracket: j-sum, i-sum
+                    t**2 - 2.0 * c * t * s, s**2,          # u-side bracket: first, z-weighted sum
+                    p**2 - 2.0 * c * p * q, q**2])         # v-side bracket: first, z-weighted sum
     bad = np.abs(den) < 1e-12
     if np.any(bad):
-        stacked = np.stack([num_cross_v, num_cross_u, num_bu, num_bu2, num_bv, num_bv2])
-        if np.max(np.abs(stacked[:, bad])) > tol_num:
+        if np.max(np.abs(num[:, bad])) > 1e-10 * (1.0 + nu) * (1.0 + nv) * (1.0 + abs(z)):
             raise PoleHit(
                 f"z = {z} coincides with a base squared correlation within 1e-12"
             )
-        keep = ~bad
-        den, num_cross_v, num_cross_u = den[keep], num_cross_v[keep], num_cross_u[keep]
-        num_bu, num_bu2 = num_bu[keep], num_bu2[keep]
-        num_bv, num_bv2 = num_bv[keep], num_bv2[keep]
-
-    cross = w + np.sum(num_cross_v / den) - z * np.sum(num_cross_u / den)
-    bracket_u = -nu + np.sum(num_bu / den) + z * np.sum(num_bu2 / den)
-    bracket_v = -nv + np.sum(num_bv / den) + z * np.sum(num_bv2 / den)
+        num, den = num[:, ~bad], den[~bad]
+    cross_v, cross_u, bu, bu2, bv, bv2 = np.sum(num / den, axis=1)
+    cross = w + cross_v - z * cross_u
+    bracket_u = -nu + bu + z * bu2
+    bracket_v = -nv + bv + z * bv2
     return float(abs(cross**2 - z * bracket_u * bracket_v))
 
 

@@ -1,11 +1,12 @@
 """The Wachter limit distribution for squared sample canonical correlations.
 
 Support endpoints, density, CDF, quantile function, Stieltjes transform
-with the asymptotic branch, square-root edge constants, and the Kolmogorov
-distance between an empirical spectrum and the limit.  The density has an
-elementary antiderivative in the edge angle theta, x = l- + (l+ - l-)
-sin^2(theta), so the CDF is a closed form of three arctangents and the
-quantile function bisects it in theta.
+with the asymptotic branch, square-root edge constants, the Tracy-Widom
+scale of the upper edge (:func:`edge_scale`, used by every edge-law
+statistic) and the Kolmogorov distance between an empirical spectrum and
+the limit.  The density has an elementary antiderivative in the edge angle
+theta, x = l- + (l+ - l-) sin^2(theta), so the CDF is a closed form of
+three arctangents and the quantile function bisects it in theta.
 
 The distribution is parameterized by the dimension ratios
 ``tau_k = S / K >= tau_m = S / M > 1`` with ``1/tau_k + 1/tau_m < 1`` and
@@ -199,6 +200,11 @@ def upper_edge_constant(params: WachterParams) -> float:
     """c_plus alone; defined for every valid parameter pair."""
     lo, hi = params.lambda_minus, params.lambda_plus
     return params.tau_k / 2.0 * math.sqrt(hi - lo) / (hi * (1.0 - hi))
+
+
+def edge_scale(params: WachterParams, K: int) -> float:
+    """K^(2/3) c_plus^(2/3): the inverse Tracy-Widom scale of a K-value spectrum's top at lambda_plus."""
+    return K ** (2.0 / 3.0) * upper_edge_constant(params) ** (2.0 / 3.0)
 
 
 def ks_distance(spec: Spectrum, params: WachterParams) -> float:

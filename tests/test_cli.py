@@ -329,6 +329,26 @@ class TestPipelines:
                     continue
                 assert not any(n.split(".")[0] == "scipy" for n in names), path.name
 
+    def test_every_raise_is_an_hdcca_error(self):
+        # every exception hdcca raises derives from HdccaError; SystemExit only in __main__ guards
+        src = Path(__file__).parent.parent / "src" / "hdcca"
+        errors = {n.name for n in ast.parse((src / "errors.py").read_text()).body if isinstance(n, ast.ClassDef)}
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            guarded = {
+                id(node)
+                for guard in ast.walk(tree)
+                if isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+                for node in ast.walk(guard)
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue  # a bare raise re-raises what it caught
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                allowed = name in errors or (name == "SystemExit" and id(node) in guarded)
+                assert allowed, f"{path.name}, line {node.lineno}: raises {name}"
+
     def test_missing_tabulate_dimensions_exit_code(self, tmp_path, capsys):
         code = run_cli(
             ["tabulate", "--statistic", "laguerre-max", "--alphas", "0.9", "--nsamples", "100"],
@@ -542,6 +562,36 @@ class TestBadInput:
         err = error_of(capsys)
         assert err["error"] == "InputFormatError"
         assert f"{bad}, line 3: column {column} is not finite" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, text, error, message",
+        [
+            (["coint", "--regime", "small", "--input"], "t,x\n0,1.0\n1,2.0\n", "InputFormatError",
+             "{bad}, line 3: need time points 0..T with T >= 2"),
+            (["cca", "--v", "{good}", "--u"], "a,b,c\n1.0,2.0,3.0\n0,0,0\n", "RankDeficient",
+             "U Gram matrix is not positive definite"),
+            (["cca", "--v", "{good}", "--u"], None, "InputFormatError", "{bad}: cannot read file"),
+            (["cca", "--v", "{good}", "--u"], "a,b,c\n\n", "InputFormatError",
+             "{bad}: need a header row plus at least one data row"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum"], "not json", "InputFormatError",
+             "{bad}: cannot parse spectrum JSON"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum"], '{"schema": "hdcca.cca/1"}',
+             "InputFormatError", "{bad}: expected schema"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum"], "[0.5]", "InputFormatError",
+             "{bad}: expected schema"),
+        ],
+        ids=["short-series", "zero-row", "missing-file", "header-only", "spectrum-text", "spectrum-schema",
+             "spectrum-list"],
+    )
+    def test_bad_file(self, tmp_path, capsys, command, text, error, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("a,b,c\n1.0,2.0,4.0\n")
+        if text is not None:
+            bad.write_text(text)
+        assert run_cli([*(a.format(good=good) for a in command), str(bad)], tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == error
+        assert message.format(bad=bad) in err["message"]
 
     def test_non_finite_spectrum(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -34,6 +34,22 @@ from hdcca.errors import (
 from hdcca.wachter import Spectrum, support_endpoints
 
 
+class TestTimeSeriesPanel:
+    @pytest.mark.parametrize(
+        "X", [np.zeros((0, 5)), np.zeros(5), np.zeros((2, 2)), np.array([[0.0, 1.0, np.nan]])],
+        ids=["zero-rows", "one-d", "short-horizon", "non-finite"],
+    )
+    def test_bad_series_rejected(self, X):
+        with pytest.raises(DimensionMismatch):
+            TimeSeriesPanel(X)
+
+    def test_series_is_a_read_only_copy(self):
+        X = np.arange(6.0).reshape(2, 3)
+        ts = TimeSeriesPanel(X)
+        X[0, 0] = 9.0
+        assert ts.X[0, 0] == 0.0 and not ts.X.flags.writeable
+
+
 class TestSimulateVar1:
     def test_random_walk_variance_grows_linearly(self):
         K, T, reps = 2, 200, 400
@@ -282,6 +298,21 @@ class TestCointLarge:
         K = 100
         _, _, _, c2 = _large_k_constants(K, int(round(tau * K)))
         assert c2 < 0.0
+
+    @pytest.mark.parametrize("K", [10, 100, 400])
+    @pytest.mark.parametrize("tau", [2.2, 2.5, 3.0, 5.0, 10.0, 20.0, 50.0, 80.0])
+    def test_c2_matches_the_hand_derived_closed_form(self, K, tau):
+        # hand-derived c2 for the (1 + tau, (1 + tau) / 2) Wachter law
+        T = int(round(tau * K))
+        t = T / K
+        lo, hi = coint_lambda_pm(t)
+        closed = (
+            -(2.0 ** (2.0 / 3.0))
+            * hi ** (2.0 / 3.0)
+            / ((1.0 - hi) ** (1.0 / 3.0) * (hi - lo) ** (1.0 / 3.0))
+            * (t + 1.0) ** (-2.0 / 3.0)
+        )
+        assert _large_k_constants(K, T) == pytest.approx((lo, hi, math.log1p(-hi), closed), rel=1e-13)
 
     def test_regime_floor(self, airy_table_r1_coupling):
         X = simulate_var1(VarModel.pure_random_walk(50), 100, Seed(62))

@@ -35,6 +35,15 @@ class TestQuantileTable:
         laguerre_table_23.save(path)
         assert QuantileTable.load(path) == laguerre_table_23
 
+    def test_failed_save_leaves_no_temporary_file(self, tmp_path, monkeypatch, laguerre_table_23):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(hyptest.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            laguerre_table_23.save(tmp_path / "table.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_timestamp_can_be_omitted(self, laguerre_table_23):
         assert laguerre_table_23.built_at is not None
         assert "built_at" not in dataclasses.replace(laguerre_table_23, built_at=None).dumps()

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdcca.cca_core import DataPanel, alignment_angle, sample_cca
 from hdcca.ensembles import Seed
-from hdcca.errors import AboveOne, BelowEdge, PoleHit, Subcritical
+from hdcca.errors import AboveOne, BelowEdge, ParameterRange, PoleHit, Subcritical
 from hdcca.spike import (
     detection_threshold,
     estimate_signals,
@@ -122,6 +122,13 @@ class TestPredictedAngles:
     def test_subcritical_rejected(self):
         with pytest.raises(Subcritical):
             predicted_angles(0.15, P8)
+
+
+@pytest.mark.parametrize("forward", [z_from_rho2, predicted_angles], ids=["z_from_rho2", "predicted_angles"])
+@pytest.mark.parametrize("rho2", [1.2, float("nan")], ids=["above-one", "nan"])
+def test_strength_above_one_is_a_parameter_range_error(forward, rho2):
+    with pytest.raises(ParameterRange):
+        forward(rho2, P8)
 
 
 class TestEstimateSignals:
