@@ -26,7 +26,7 @@ from .errors import (
     UnitCorrelation,
 )
 from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, QuantileTable, TestReport
-from .wachter import Spectrum, WachterParams, upper_edge_constant
+from .wachter import Spectrum, WachterParams, edge_scale, upper_edge_constant
 
 _SMALL_K_WARN = 10
 _LARGE_RATIO_WARN = 2.5
@@ -282,9 +282,10 @@ def coint_test_large(
     spec = modified_lambdas(X)
     if np.any(spec.values[:r] >= 1.0 - 1e-12):
         raise UnitCorrelation("a squared correlation is numerically 1")
-    _, _, c1, c2 = _large_k_constants(K, T)
+    _, hi, c1, c2 = _large_k_constants(K, T)
     log_sum = float(np.sum(np.log1p(-spec.values[:r])))
-    statistic = (log_sum - r * c1) / (K ** (-2.0 / 3.0) * c2)
+    scale = edge_scale(WachterParams(1.0 + tau, (1.0 + tau) / 2.0), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
+    statistic = (r * c1 - log_sum) * (1.0 - hi) * scale
     threshold = airy_table.threshold_for(alpha)
     return TestReport(
         statistic, threshold, alpha, statistic > threshold, "large_dim",
@@ -300,12 +301,13 @@ class CouplingReport:
     ``ks_distance`` compares the two samples as drawn; ``centered_ks_distance``
     compares them after each is centred on its own mean, i.e. the shape of
     the two laws apart from location.  ``edge_unit`` is the bulk-edge
-    fluctuation unit K^(-2/3) |c2| (1 - lambda_plus) in lambda units, the
-    scale on which the large-K test reads the top value.  The coupling is
-    promised only to o(1): at K = 100, T = 1000 the two laws have the same
-    shape (centred KS 0.008 at 8000 draws a side) but differ by a centring
-    offset of about 0.0023, 0.3 edge units, which alone puts the population
-    ``ks_distance`` near 0.10; the offset shrinks as K grows at fixed T/K.
+    fluctuation unit K^(-2/3) c_plus^(-2/3) = K^(-2/3) |c2| (1 - lambda_plus)
+    in lambda units, the scale on which the large-K test reads the top
+    value.  The coupling is promised only to o(1): at K = 100, T = 1000 the
+    two laws have the same shape (centred KS 0.008 at 8000 draws a side)
+    but differ by a centring offset of about 0.0023, 0.3 edge units, which
+    alone puts the population ``ks_distance`` near 0.10; the offset shrinks
+    as K grows at fixed T/K.
     """
 
     ks_distance: float
@@ -345,7 +347,7 @@ def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> Coupling
         lam1[rep] = modified_lambdas(X).values[0]
     jacobi_seed = Seed(seed.value, seed.stream + 1)
     x1 = manova_spectra(K, 2 * K - 1, T - K - 1, nsamples, jacobi_seed, top=1)[:, -1]
-    _, hi, _, c2 = _large_k_constants(K, T)
+    _, hi, _, _ = _large_k_constants(K, T)
     mean_lambda1, mean_x1 = float(np.mean(lam1)), float(np.mean(x1))
     return CouplingReport(
         ks_distance=_two_sample_ks(lam1, x1),
@@ -353,7 +355,7 @@ def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> Coupling
         mean_lambda1=mean_lambda1,
         mean_x1=mean_x1,
         lambda_plus=hi,
-        edge_unit=K ** (-2.0 / 3.0) * abs(c2) * (1.0 - hi),
+        edge_unit=1.0 / edge_scale(WachterParams(1.0 + T / K, (1.0 + T / K) / 2.0), K),
         nsamples=nsamples,
         diagnostics={"K": K, "T": T},
     )

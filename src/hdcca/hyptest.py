@@ -7,7 +7,8 @@ matrix.  Large dimensions: the top squared correlation is centered at the
 bulk edge, rescaled by the K^(2/3) edge constant, and compared against
 tabulated quantiles of partial sums of the Airy_1 point process (the
 r = 1 marginal is the Tracy-Widom F_1 law), themselves obtained by
-rescaling the top eigenvalues of a large simulated MANOVA spectrum.
+rescaling the top r eigenvalues of a large simulated MANOVA spectrum.
+Each table simulates and bisects only the r eigenvalues it sums.
 
 Tabulation draws its samples block by block from the one generator of its
 seed, so a fixed seed reproduces every table bit for bit.
@@ -16,7 +17,6 @@ seed, so a fixed seed reproduces every table bit for bit.
 from __future__ import annotations
 
 import datetime
-import functools
 import json
 import os
 import tempfile
@@ -202,30 +202,6 @@ def tabulate_laguerre_max(
     return QuantileTable.from_samples(STATISTIC_LAGUERRE_MAX, {"K": K, "M": M}, top, alphas, seed)
 
 
-@functools.lru_cache(maxsize=8)
-def _airy_partial_sums(
-    sim_size: int, nsamples: int, seed: Seed, m_ratio: float, s_ratio: float
-) -> np.ndarray:
-    """(nsamples, min(10, K)) partial sums of rescaled top MANOVA eigenvalues.
-
-    A MANOVA spectrum at internal dimensions (K, M, S) = sim_size *
-    (1, m_ratio, s_ratio) is recentered at its bulk edge and rescaled by
-    K^(2/3) c_plus^(2/3); edge universality makes the law of the top
-    coordinates insensitive to the ratios, which mainly control the
-    finite-size error.  Memoized for the last few simulations, so every r
-    shares one; the returned array is read-only because callers share it.
-    """
-    K = sim_size
-    M = int(round(m_ratio * K))
-    S = int(round(s_ratio * K))
-    params = WachterParams(tau_k=S / K, tau_m=S / M)
-    top = manova_spectra(K, M, S - M, nsamples, seed, top=min(_AIRY_MAX_R, K))[:, ::-1]
-    rescaled = edge_scale(params, K) * (top - params.lambda_plus)
-    sums = np.cumsum(rescaled, axis=1)
-    sums.setflags(write=False)
-    return sums
-
-
 def tabulate_airy1_sums(
     r_max: int,
     alphas,
@@ -237,17 +213,26 @@ def tabulate_airy1_sums(
 ) -> QuantileTable:
     """Quantiles of the sum of the top r_max Airy_1 coordinates.
 
-    No closed form is practical, so the law is tabulated by Monte Carlo
-    from a large MANOVA spectrum (see :func:`_airy_partial_sums`); the
-    accuracy control is stability of the quantiles in ``sim_size``.
+    No closed form is practical, so the law is tabulated by Monte Carlo:
+    the top r_max eigenvalues of a MANOVA spectrum at internal dimensions
+    (K, M, S) = sim_size * (1, m_ratio, s_ratio) are recentered at the
+    bulk edge and rescaled by K^(2/3) c_plus^(2/3), then summed.  Edge
+    universality makes the law of the top coordinates insensitive to the
+    ratios, which mainly control the finite-size error; the accuracy
+    control is stability of the quantiles in ``sim_size``.  Only the top
+    r_max eigenvalues are bisected; each bisection reads only its own
+    Sturm counts, so they come out as they would among more targets.
     """
     if not 1 <= r_max <= _AIRY_MAX_R:
         raise InvalidParams(f"r_max must be in 1..{_AIRY_MAX_R}, got {r_max}")
     if sim_size < 100:
         raise InvalidParams(f"sim_size must be >= 100, got {sim_size}")
-    sums = _airy_partial_sums(sim_size, nsamples, seed, m_ratio, s_ratio)
+    K, M, S = sim_size, int(round(m_ratio * sim_size)), int(round(s_ratio * sim_size))
+    law = WachterParams(tau_k=S / K, tau_m=S / M)
+    top = manova_spectra(K, M, S - M, nsamples, seed, top=r_max)[:, ::-1]  # summed largest first
+    sums = np.cumsum(edge_scale(law, K) * (top - law.lambda_plus), axis=1)[:, -1]
     params = {"r": r_max, "sim_size": sim_size, "m_ratio": m_ratio, "s_ratio": s_ratio}
-    return QuantileTable.from_samples(STATISTIC_AIRY1_SUM, params, sums[:, r_max - 1], alphas, seed)
+    return QuantileTable.from_samples(STATISTIC_AIRY1_SUM, params, sums, alphas, seed)
 
 
 def independence_test_small(

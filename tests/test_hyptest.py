@@ -21,7 +21,7 @@ from hdcca.hyptest import (
     tabulate_laguerre_max,
 )
 from hdcca.spike import simulate_spiked_panels
-from hdcca.wachter import WachterParams, upper_edge_constant
+from hdcca.wachter import WachterParams, edge_scale, upper_edge_constant
 
 
 class TestQuantileTable:
@@ -170,19 +170,30 @@ class TestTabulateAiry1Sums:
         with pytest.raises(Exception):
             tabulate_airy1_sums(1, (0.5,), 50, 100, Seed(0))
 
-    def test_every_r_shares_one_bounded_memoized_simulation(self, monkeypatch):
-        calls = []
+    def test_each_table_samples_once_with_top_r(self, monkeypatch):
+        tops = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return manova_spectra(*args, **kwargs)
+        def counting(*args, top=None):
+            tops.append(top)
+            return manova_spectra(*args, top=top)
 
         monkeypatch.setattr(hyptest, "manova_spectra", counting)
-        tables = [tabulate_airy1_sums(r, (0.5,), 100, 50, Seed(30, 7)) for r in (1, 2, 3)]
-        assert len(calls) == 1
-        assert tables[0].entries[0][1] > tables[2].entries[0][1]
-        for memo in (hyptest._airy_partial_sums, ensembles._ds_spectra):
-            assert memo.cache_info().maxsize == 8
+        for r in (1, 2, 10):
+            tabulate_airy1_sums(r, (0.5,), 100, 50, Seed(30, 7))
+        assert tops == [1, 2, 10]
+        assert ensembles._ds_spectra.cache_info().maxsize == 8
+
+    @pytest.mark.parametrize("ratios", [(1.5, 5.0), (1.99, 10.98)])
+    def test_quantiles_equal_those_of_the_top_ten_partial_sums(self, ratios):
+        """Bisecting only the r summed eigenvalues leaves every quantile bit for bit."""
+        alphas, K, n, seed = (0.5, 0.9, 0.95, 0.99), 100, 1000, Seed(7)
+        M, S = int(round(ratios[0] * K)), int(round(ratios[1] * K))
+        params = WachterParams(tau_k=S / K, tau_m=S / M)
+        top = manova_spectra(K, M, S - M, n, seed, top=10)[:, ::-1]
+        sums = np.cumsum(edge_scale(params, K) * (top - params.lambda_plus), axis=1)
+        for r in (1, 2, 10):
+            table = tabulate_airy1_sums(r, alphas, K, n, seed, *ratios)
+            assert [q for _, q in table.entries] == np.quantile(sums[:, r - 1], alphas).tolist()
 
 
 class TestIndependenceLarge:
