@@ -9,9 +9,10 @@ Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error or a path
 that cannot be read or written (one-line ``hdcca.error/1`` JSON on stderr).
 Reports are JSON on stdout or ``--output``; pass ``--no-timestamp`` for
 byte-identical reruns.  Quantile tables live in one on-disk store
-(:func:`_table`), one file per identity (statistic, parameters, levels,
-nsamples, seed), checked on every read; ``tabulate`` without ``--output``
-pre-warms it.  The cache directory comes from ``--table-cache-dir``, then
+(:func:`_table`), one file per identity (statistic, parameters, nsamples,
+seed), checked on every read; a table keeps its draws, so one file serves
+every ``--alpha``.  ``tabulate`` without ``--output`` pre-warms it.  The
+cache directory comes from ``--table-cache-dir``, then
 ``$HDCCA_TABLE_DIR``, then ``$XDG_CACHE_HOME/hdcca``, then
 ``~/.cache/hdcca``.
 """
@@ -43,7 +44,6 @@ EXIT_REJECT = 3
 
 REPORT_SCHEMA = "hdcca.report/1"
 CCA_SCHEMA = "hdcca.cca/1"
-DEFAULT_ALPHAS = (0.9, 0.95, 0.99)
 DEFAULT_NSAMPLES = 10_000
 
 
@@ -70,29 +70,26 @@ def _check_alpha(args) -> None:
         raise HdccaError(f"alpha must lie in (0, 1), got {args.alpha}")
 
 
-# Statistic id -> tabulator of (params, alphas, nsamples, seed).  Each entry
-# looks its function up in the module at call time, so a wrapper installed
-# on the module (the benchmark's tracer) sees every build.
+# Statistic id -> tabulator of (params, nsamples, seed); the unused levels
+# slot gets ().  Each entry looks its function up in the module at call
+# time, so a wrapper installed on the module (the benchmark's tracer) sees
+# every build.
 _TABULATORS = {
-    STATISTIC_LAGUERRE_MAX: lambda p, alphas, n, seed: hyptest.tabulate_laguerre_max(
-        p["K"], p["M"], alphas, n, seed
-    ),
-    STATISTIC_AIRY1_SUM: lambda p, alphas, n, seed: hyptest.tabulate_airy1_sums(
-        p["r"], alphas, p["sim_size"], n, seed
-    ),
-    STATISTIC_BROWNIAN_COINT: lambda p, alphas, n, seed: cointegration.tabulate_brownian_coint(
-        p["K"], p["r"], alphas, p["n_grid"], n, seed
+    STATISTIC_LAGUERRE_MAX: lambda p, n, seed: hyptest.tabulate_laguerre_max(p["K"], p["M"], (), n, seed),
+    STATISTIC_AIRY1_SUM: lambda p, n, seed: hyptest.tabulate_airy1_sums(p["r"], (), p["sim_size"], n, seed),
+    STATISTIC_BROWNIAN_COINT: lambda p, n, seed: cointegration.tabulate_brownian_coint(
+        p["K"], p["r"], (), p["n_grid"], n, seed
     ),
 }
 
 
-def _tabulate(args, statistic_id: str, params: dict, alphas: list[float]) -> QuantileTable:
+def _tabulate(args, statistic_id: str, params: dict) -> QuantileTable:
     """A freshly built table; ``--no-timestamp`` leaves out its build time."""
-    table = _TABULATORS[statistic_id](params, alphas, args.nsamples, _seed(args))
+    table = _TABULATORS[statistic_id](params, args.nsamples, _seed(args))
     return dataclasses.replace(table, built_at=None) if args.no_timestamp else table
 
 
-def _table(args, statistic_id: str, params: dict, alphas: list[float]) -> tuple[QuantileTable, Path]:
+def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
     """The stored table with this identity, tabulated and stored on a miss.
 
     The file name is the statistic plus the first 24 hex digits of the
@@ -108,7 +105,7 @@ def _table(args, statistic_id: str, params: dict, alphas: list[float]) -> tuple[
     key = json.dumps(
         {
             "statistic": statistic_id,
-            "params": {**params, "alphas": alphas},
+            "params": params,
             "nsamples": args.nsamples,
             "seed": [seed.value, seed.stream],
         },
@@ -118,27 +115,21 @@ def _table(args, statistic_id: str, params: dict, alphas: list[float]) -> tuple[
     path = cache / f"{statistic_id.lower()}-{digest}.json"
     if path.exists():
         table = QuantileTable.load(path)
-        wanted = (statistic_id, params, alphas, args.nsamples, seed)
-        found = (
-            table.statistic_id,
-            {k: table.params.get(k) for k in params},
-            [a for a, _ in table.entries],
-            table.nsamples,
-            table.seed,
-        )
+        wanted = (statistic_id, params, args.nsamples, seed)
+        found = (table.statistic_id, {k: table.params.get(k) for k in params}, len(table.draws), table.seed)
         if found != wanted:
             raise TableMismatch(f"{path}: stored table is {found}, request is {wanted}")
         return table, path
-    table = _tabulate(args, statistic_id, params, alphas)
+    table = _tabulate(args, statistic_id, params)
     table.save(path)
     return table, path
 
 
 def _test_table(args, statistic_id: str, params: dict) -> QuantileTable:
-    """The ``--table`` file if one is given, else the stored table at the default levels plus alpha."""
+    """The ``--table`` file if one is given, else the stored table."""
     if args.table:
         return QuantileTable.load(args.table)
-    return _table(args, statistic_id, params, sorted(set(DEFAULT_ALPHAS) | {args.alpha}))[0]
+    return _table(args, statistic_id, params)[0]
 
 
 def _emit_report(args, report) -> int:
@@ -245,7 +236,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tabulate(args) -> int:
-    alphas = sorted(_floats(args.alphas, "--alphas"))
     params = {
         "laguerre-max": {"K": args.k, "M": args.m},
         "airy1-sum": {"r": args.r, "sim_size": args.sim_size},
@@ -254,10 +244,10 @@ def cmd_tabulate(args) -> int:
     _require_options(f"tabulate {args.statistic}", {name.lower(): value for name, value in params.items()})
     statistic_id = args.statistic.upper().replace("-", "_")
     if args.output:
-        _tabulate(args, statistic_id, params, alphas).save(args.output)
+        _tabulate(args, statistic_id, params).save(args.output)
         path = args.output
     else:
-        path = _table(args, statistic_id, params, alphas)[1]
+        path = _table(args, statistic_id, params)[1]
     sys.stdout.write(f"{path}\n")
     return EXIT_OK
 
@@ -351,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1, help="number of top coordinates summed")
     p.add_argument("--sim-size", type=int, default=100)
     p.add_argument("--n-grid", type=int, default=1000)
-    p.add_argument("--alphas", default=",".join(map(str, DEFAULT_ALPHAS)), help="comma-separated levels")
     p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
     _add_common(p)
     p.set_defaults(func=cmd_tabulate)

@@ -179,13 +179,16 @@ def simulate_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np
 def tabulate_brownian_coint(
     K: int, r: int, alphas, n_grid: int, nsamples: int, seed: Seed
 ) -> QuantileTable:
-    """Quantiles of the sum of the top r Brownian functional eigenvalues."""
+    """Draws of the sum of the top r Brownian functional eigenvalues.
+
+    ``alphas`` is unused, as in :func:`hyptest.tabulate_laguerre_max`.
+    """
     if not 1 <= r <= K:
         raise InvalidParams(f"need 1 <= r <= K, got r={r}, K={K}")
     nu = simulate_brownian_null(K, n_grid, nsamples, seed)
     sums = np.sum(nu[:, :r], axis=1)
     params = {"K": K, "r": r, "n_grid": n_grid}
-    return QuantileTable.from_samples(STATISTIC_BROWNIAN_COINT, params, sums, alphas, seed)
+    return QuantileTable.from_samples(STATISTIC_BROWNIAN_COINT, params, sums, seed)
 
 
 def coint_test_small(

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
+import operator
 import os
 import tempfile
 import warnings
@@ -31,8 +33,7 @@ from .ensembles import Seed, laguerre_spectra, manova_spectra
 from .errors import InvalidParams, InvalidRegime, TableMismatch
 from .wachter import WachterParams, edge_scale, upper_edge_constant
 
-TABLE_FORMAT_VERSION = 1
-_AIRY_MAX_R = 10
+TABLE_FORMAT_VERSION = 2
 _SMALL_DIM_WARN = 50
 
 STATISTIC_LAGUERRE_MAX = "LAGUERRE_MAX"
@@ -42,48 +43,50 @@ STATISTIC_BROWNIAN_COINT = "BROWNIAN_COINT"
 
 @dataclass(frozen=True)
 class QuantileTable:
-    """Named null statistic with tabulated (alpha, quantile) pairs.
+    """Named null statistic with its Monte Carlo draws, sorted ascending.
 
-    ``entries`` are sorted by alpha with nondecreasing quantiles; the
-    tabulation is pinned by (statistic_id, params, nsamples, seed), which
-    also keys the on-disk cache.  Ship tables with nsamples >= 10^4.
-    A table whose ``built_at`` is None is written without that field.
+    One table serves every level: ``threshold_for(alpha)`` reads the
+    alpha-quantile off the draws.  The tabulation is pinned by
+    (statistic_id, params, nsamples = len(draws), seed), which also keys
+    the on-disk cache.  Ship tables with nsamples >= 10^4.  A table whose
+    ``built_at`` is None is written without that field.
     """
 
     statistic_id: str
     params: dict
-    entries: tuple
-    nsamples: int
+    draws: tuple = field(repr=False)
     seed: Seed
     built_at: str | None = None
 
     def __post_init__(self):
-        entries = tuple((float(a), float(q)) for a, q in self.entries)
-        alphas = [a for a, _ in entries]
-        quants = [q for _, q in entries]
-        if not entries:
-            raise TableMismatch("table must contain at least one entry")
-        if any(not 0.0 < a < 1.0 for a in alphas):
-            raise TableMismatch(f"levels must lie in (0, 1): {alphas}")
-        if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-            raise TableMismatch("entries must be sorted by strictly increasing alpha")
-        if any(q2 < q1 for q1, q2 in zip(quants, quants[1:])):
-            raise TableMismatch("quantiles must be nondecreasing in alpha")
-        object.__setattr__(self, "entries", entries)
+        draws = tuple(map(float, self.draws))
+        if not draws:
+            raise TableMismatch("table must contain at least one draw")
+        if not all(map(math.isfinite, draws)):
+            raise TableMismatch("draws must all be finite")
+        if any(map(operator.gt, draws, draws[1:])):
+            raise TableMismatch("draws must be sorted ascending")
+        object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "params", dict(self.params))
 
     @classmethod
-    def from_samples(cls, statistic_id: str, params: dict, samples, alphas, seed: Seed) -> "QuantileTable":
-        """Table of the empirical `alphas`-quantiles of Monte Carlo `samples`, stamped now."""
-        return cls(statistic_id, params, _empirical_quantiles(samples, alphas), len(samples), seed, _now())
+    def from_samples(cls, statistic_id: str, params: dict, samples, seed: Seed) -> "QuantileTable":
+        """Table of the Monte Carlo `samples`, stamped now."""
+        return cls(statistic_id, params, np.sort(samples).tolist(), seed, _now())
 
     def threshold_for(self, alpha: float) -> float:
-        for a, q in self.entries:
-            if abs(a - alpha) < 1e-12:
-                return q
-        raise TableMismatch(
-            f"level {alpha} not tabulated; available: {[a for a, _ in self.entries]}"
-        )
+        """``np.quantile(draws, alpha)`` bit for bit, read in O(1) off the sorted draws.
+
+        numpy's default (linear) method: index (n - 1) alpha, then its two-sided lerp.
+        """
+        if not 0.0 < alpha < 1.0:
+            raise InvalidParams(f"alpha must lie in (0, 1), got {alpha}")
+        x, at = self.draws, (len(self.draws) - 1) * alpha
+        i = math.floor(at)
+        if i >= len(x) - 1:
+            return x[-1]
+        t, diff = at - i, x[i + 1] - x[i]
+        return x[i] + diff * t if t < 0.5 else x[i + 1] - diff * (1 - t)
 
     def require(self, statistic_id: str, **params) -> None:
         """Raise TableMismatch unless this is a `statistic_id` table with these `params`."""
@@ -97,8 +100,7 @@ class QuantileTable:
             "statistic_id": self.statistic_id,
             "params": self.params,
             "seed": {"value": self.seed.value, "stream": self.seed.stream},
-            "nsamples": self.nsamples,
-            "entries": [{"alpha": a, "q": q} for a, q in self.entries],
+            "draws": self.draws,
         }
         if self.built_at is not None:
             doc["built_at"] = self.built_at
@@ -111,17 +113,18 @@ class QuantileTable:
             doc = json.loads(text)
             if doc.get("version") != TABLE_FORMAT_VERSION:
                 raise TableMismatch(f"unsupported table version {doc.get('version')!r}")
+            if not all(type(d) in (int, float) for d in doc["draws"]):
+                raise TableMismatch("draws must be a list of numbers")
             return cls(
                 statistic_id=doc["statistic_id"],
                 params=doc["params"],
-                entries=tuple((e["alpha"], e["q"]) for e in doc["entries"]),
-                nsamples=int(doc["nsamples"]),
+                draws=doc["draws"],
                 seed=Seed(int(doc["seed"]["value"]), int(doc["seed"]["stream"])),
                 built_at=doc.get("built_at"),
             )
         except TableMismatch:
             raise
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
             raise TableMismatch(f"malformed quantile table: {type(e).__name__}: {e}") from e
 
     def save(self, path) -> None:
@@ -178,28 +181,20 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _empirical_quantiles(samples: np.ndarray, alphas) -> tuple:
-    alphas = sorted(float(a) for a in alphas)
-    if any(not 0.0 < a < 1.0 for a in alphas):
-        raise InvalidParams(f"levels must lie in (0, 1): {alphas}")
-    if len(set(alphas)) < len(alphas):
-        raise InvalidParams(f"levels must be distinct: {alphas}")
-    qs = np.quantile(samples, alphas)
-    return tuple(zip(alphas, (float(q) for q in qs)))
-
-
 def tabulate_laguerre_max(
     K: int, M: int, alphas, nsamples: int, seed: Seed
 ) -> QuantileTable:
-    """Quantiles of the largest eigenvalue of a K x M Wishart matrix.
+    """Draws of the largest eigenvalue of a K x M Wishart matrix.
 
     This is the null law of S times the top squared sample correlation
     between fixed small panels of K and M >= K variables as S grows.
+    ``alphas`` is unused (the table serves every level); the slot stays
+    for callers that pass the later arguments by position.
     """
     if not 1 <= K <= M:
         raise InvalidParams(f"need 1 <= K <= M, got K={K}, M={M}")
     top = laguerre_spectra(K, M, nsamples, seed)[:, -1]
-    return QuantileTable.from_samples(STATISTIC_LAGUERRE_MAX, {"K": K, "M": M}, top, alphas, seed)
+    return QuantileTable.from_samples(STATISTIC_LAGUERRE_MAX, {"K": K, "M": M}, top, seed)
 
 
 def tabulate_airy1_sums(
@@ -211,7 +206,7 @@ def tabulate_airy1_sums(
     m_ratio: float = 1.5,
     s_ratio: float = 5.0,
 ) -> QuantileTable:
-    """Quantiles of the sum of the top r_max Airy_1 coordinates.
+    """Draws of the sum of the top r_max Airy_1 coordinates, 1 <= r_max <= sim_size.
 
     No closed form is practical, so the law is tabulated by Monte Carlo:
     the top r_max eigenvalues of a MANOVA spectrum at internal dimensions
@@ -222,9 +217,8 @@ def tabulate_airy1_sums(
     control is stability of the quantiles in ``sim_size``.  Only the top
     r_max eigenvalues are bisected; each bisection reads only its own
     Sturm counts, so they come out as they would among more targets.
+    ``alphas`` is unused, as in :func:`tabulate_laguerre_max`.
     """
-    if not 1 <= r_max <= _AIRY_MAX_R:
-        raise InvalidParams(f"r_max must be in 1..{_AIRY_MAX_R}, got {r_max}")
     if sim_size < 100:
         raise InvalidParams(f"sim_size must be >= 100, got {sim_size}")
     K, M, S = sim_size, int(round(m_ratio * sim_size)), int(round(s_ratio * sim_size))
@@ -232,7 +226,7 @@ def tabulate_airy1_sums(
     top = manova_spectra(K, M, S - M, nsamples, seed, top=r_max)[:, ::-1]  # summed largest first
     sums = np.cumsum(edge_scale(law, K) * (top - law.lambda_plus), axis=1)[:, -1]
     params = {"r": r_max, "sim_size": sim_size, "m_ratio": m_ratio, "s_ratio": s_ratio}
-    return QuantileTable.from_samples(STATISTIC_AIRY1_SUM, params, sums, alphas, seed)
+    return QuantileTable.from_samples(STATISTIC_AIRY1_SUM, params, sums, seed)
 
 
 def independence_test_small(

@@ -247,7 +247,7 @@ class TestPipelines:
         out = tmp_path / "table.json"
         code = run_cli(
             ["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3",
-             "--alphas", "0.9,0.95", "--nsamples", "2000", "--seed", "7",
+             "--nsamples", "2000", "--seed", "7",
              "--no-timestamp", "--output", str(out)],
             tmp_path,
         )
@@ -351,7 +351,7 @@ class TestPipelines:
 
     def test_missing_tabulate_dimensions_exit_code(self, tmp_path, capsys):
         code = run_cli(
-            ["tabulate", "--statistic", "laguerre-max", "--alphas", "0.9", "--nsamples", "100"],
+            ["tabulate", "--statistic", "laguerre-max", "--nsamples", "100"],
             tmp_path,
         )
         assert code == 2
@@ -387,7 +387,7 @@ def small_panels(tmp_path):
 
 class TestTableStore:
     TABULATE_23 = ["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "200"]
-    PINNED_NAME = "laguerre_max-30b09888aa386e5c2cb73763.json"
+    PINNED_NAME = "laguerre_max-ca1a652a6e5ad2f555143ce4.json"
 
     def test_tables_of_different_dimensions_get_different_files(self, tmp_path):
         assert run_cli(self.TABULATE_23, tmp_path) == 0
@@ -397,16 +397,16 @@ class TestTableStore:
         assert len(list((tmp_path / "cache").iterdir())) == 2
 
     def test_file_name_is_the_identity_digest(self, tmp_path, capsys):
-        # K=2, M=3, alphas 0.9/0.95/0.99, nsamples 200, seed 0/0: the name
-        # earlier releases gave this table, so their caches still hit.
-        argv = [*self.TABULATE_23, "--alphas", "0.9,0.95,0.99", "--seed", "0", "--stream", "0"]
+        # K=2, M=3, nsamples 200, seed 0/0: pinned, because a change to the
+        # digest leaves every stored table unread.
+        argv = [*self.TABULATE_23, "--seed", "0", "--stream", "0"]
         assert run_cli(argv, tmp_path) == 0
         path = Path(capsys.readouterr().out.strip())
         assert path.name == self.PINNED_NAME
         assert path.parent == tmp_path / "cache"
 
     def test_tabulate_prewarms_the_independence_table(self, tmp_path, capsys, monkeypatch):
-        assert run_cli([*self.TABULATE_23, "--alphas", "0.9,0.95,0.99"], tmp_path) == 0
+        assert run_cli(self.TABULATE_23, tmp_path) == 0
         table = QuantileTable.load(capsys.readouterr().out.strip())
         u, v = small_panels(tmp_path)
         before = sorted((tmp_path / "cache").iterdir())
@@ -424,6 +424,17 @@ class TestTableStore:
         assert code in (0, 3)
         assert sorted((tmp_path / "cache").iterdir()) == before
         assert json.loads(out.read_text())["threshold"] == table.threshold_for(0.95)
+
+    def test_one_table_serves_every_level(self, tmp_path):
+        u, v = small_panels(tmp_path)
+        test = ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--nsamples", "200"]
+        assert run_cli(test, tmp_path) in (0, 3)
+        [stored] = (tmp_path / "cache").iterdir()
+        out = tmp_path / "report.json"
+        assert run_cli([*test, "--alpha", "0.975", "--output", str(out)], tmp_path) in (0, 3)
+        assert list((tmp_path / "cache").iterdir()) == [stored]
+        draws = QuantileTable.load(stored).draws
+        assert json.loads(out.read_text())["threshold"] == np.quantile(draws, 0.975)
 
     @pytest.mark.parametrize(
         "simulate, test",
@@ -452,11 +463,10 @@ class TestTableStore:
         [
             lambda doc: doc.update(statistic_id="BROWNIAN_COINT"),
             lambda doc: doc["params"].update(M=4),
-            lambda doc: doc["entries"][0].update(alpha=0.85),
-            lambda doc: doc.update(nsamples=201),
+            lambda doc: doc["draws"].pop(),
             lambda doc: doc["seed"].update(value=1),
         ],
-        ids=["statistic", "params", "levels", "nsamples", "seed"],
+        ids=["statistic", "params", "nsamples", "seed"],
     )
     def test_edited_identity_raises_table_mismatch(self, tmp_path, capsys, edit):
         assert run_cli(self.TABULATE_23, tmp_path) == 0
@@ -506,8 +516,6 @@ class TestBadInput:
               "--output", "{file}/t.json"], "FileExistsError"),
             (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
               "--table-cache-dir", "{file}"], "FileExistsError"),
-            (["tabulate", "--statistic", "airy1-sum", "--r", "1", "--nsamples", "20", "--alphas", "0.9,0.9",
-              "--output", "{dir}/t.json"], "InvalidParams"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "-5"], "DimensionMismatch"),
             (["simulate", "var1", "--k", "-1", "--t", "10", "--pi-corner"], "DimensionMismatch"),
             (["simulate", "var1", "--k", "0", "--t", "10", "--pi-corner"], "DimensionMismatch"),
@@ -520,7 +528,7 @@ class TestBadInput:
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
              "alpha-range", "bins-floor", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
-             "tabulate-output-under-file", "cache-dir-is-file", "repeated-level",
+             "tabulate-output-under-file", "cache-dir-is-file",
              "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
@@ -602,7 +610,7 @@ class TestBadInput:
         assert err["error"] == "InputFormatError"
         assert str(spec) in err["message"] and "finite" in err["message"]
 
-    @pytest.mark.parametrize("text", ["not json", '{"version": 1}', "[1]"], ids=["text", "no-fields", "list"])
+    @pytest.mark.parametrize("text", ["not json", '{"version": 2}', "[1]"], ids=["text", "no-fields", "list"])
     def test_malformed_table_file(self, tmp_path, capsys, text):
         u, v = small_panels(tmp_path)
         table = tmp_path / "table.json"
@@ -615,10 +623,25 @@ class TestBadInput:
         assert err["error"] == "TableMismatch"
         assert str(table) in err["message"]
 
+    def test_version_one_table_file(self, tmp_path, capsys):
+        u, v = small_panels(tmp_path)
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({
+            "version": 1, "statistic_id": "LAGUERRE_MAX", "params": {"K": 2, "M": 3},
+            "seed": {"value": 0, "stream": 0}, "nsamples": 200, "entries": [{"alpha": 0.95, "q": 7.8}],
+        }))
+        code = run_cli(
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--table", str(table)], tmp_path
+        )
+        assert code == 2
+        err = error_of(capsys)
+        assert err["error"] == "TableMismatch"
+        assert str(table) in err["message"] and "version 1" in err["message"]
+
     def test_corrupt_file_in_the_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.mkdir()
-        (cache / TestTableStore.PINNED_NAME).write_text('{"version": 1, "statistic_id": "LAGUER')
+        (cache / TestTableStore.PINNED_NAME).write_text('{"version": 2, "statistic_id": "LAGUER')
         u, v = small_panels(tmp_path)
         code = run_cli(
             ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--nsamples", "200", "--seed", "0"],

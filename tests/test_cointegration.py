@@ -227,8 +227,7 @@ def _retarget_rank(table, r):
     return QuantileTable(
         statistic_id=table.statistic_id,
         params=params,
-        entries=table.entries,
-        nsamples=table.nsamples,
+        draws=table.draws,
         seed=table.seed,
         built_at=table.built_at,
     )

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -48,15 +49,35 @@ class TestQuantileTable:
         assert laguerre_table_23.built_at is not None
         assert "built_at" not in dataclasses.replace(laguerre_table_23, built_at=None).dumps()
 
-    def test_invalid_entries_rejected(self):
-        with pytest.raises(TableMismatch):
-            QuantileTable("X", {}, ((0.95, 1.0), (0.9, 2.0)), 100, Seed(0))
-        with pytest.raises(TableMismatch):
-            QuantileTable("X", {}, ((0.9, 2.0), (0.95, 1.0)), 100, Seed(0))
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 10_000])
+    def test_threshold_is_numpy_quantile_bit_for_bit(self, n):
+        draws = np.random.default_rng(n).standard_normal(n)
+        table = QuantileTable("X", {}, np.sort(draws).tolist(), Seed(0))
+        levels = [1e-9, 1e-3, 0.05, 0.5, 0.9, 0.95, 0.975, 0.99, 1 - 1e-12, *np.linspace(0.001, 0.999, 120)]
+        for alpha in levels:
+            assert table.threshold_for(alpha) == np.quantile(draws, alpha), alpha
 
-    def test_missing_level_is_a_mismatch(self, laguerre_table_23):
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_level_outside_the_unit_interval_is_an_input_error(self, laguerre_table_23, alpha):
+        with pytest.raises(InvalidParams):
+            laguerre_table_23.threshold_for(alpha)
+
+    def test_invalid_draws_rejected(self):
+        for draws in ((), (1.0, math.nan), (1.0, math.inf), (2.0, 1.0)):
+            with pytest.raises(TableMismatch):
+                QuantileTable("X", {}, draws, Seed(0))
+
+    def test_version_one_document_names_its_version(self):
+        doc = {"version": 1, "statistic_id": "X", "params": {}, "seed": {"value": 0, "stream": 0},
+               "nsamples": 100, "entries": [{"alpha": 0.95, "q": 1.0}]}
+        with pytest.raises(TableMismatch, match="version 1"):
+            QuantileTable.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("draws", ["123", [1.0, "2.0"], [1.0, True], 3.0, [10**400]])
+    def test_draws_that_are_not_a_list_of_numbers_rejected(self, draws):
+        doc = {"version": 2, "statistic_id": "X", "params": {}, "seed": {"value": 0, "stream": 0}, "draws": draws}
         with pytest.raises(TableMismatch):
-            laguerre_table_23.threshold_for(0.5)
+            QuantileTable.loads(json.dumps(doc))
 
 
     @pytest.mark.parametrize(
@@ -73,7 +94,7 @@ class TestQuantileTable:
         ],
     )
     def test_every_test_rejects_a_table_of_another_identity(self, test, statistic_id, params):
-        table = QuantileTable(statistic_id, params, ((0.95, 1.0),), 100, Seed(0))
+        table = QuantileTable(statistic_id, params, (1.0,), Seed(0))
         U, V = simulate_spiked_panels(2, 3, 60, [], Seed(0))
         X = simulate_var1(VarModel.pure_random_walk(2), 30, Seed(0))
         run, needed = {
@@ -92,20 +113,22 @@ class TestTabulateLaguerreMax:
     def test_scalar_case_matches_chi_squared_quantiles(self):
         M, n = 5, 40_000
         table = tabulate_laguerre_max(1, M, (0.9, 0.95, 0.99), n, Seed(21))
-        for alpha, q in table.entries:
+        for alpha in (0.9, 0.95, 0.99):
+            q = table.threshold_for(alpha)
             exact = chi2.ppf(alpha, M)
             se = math.sqrt(alpha * (1 - alpha) / n) / chi2.pdf(exact, M)
             assert q == pytest.approx(exact, abs=4 * se)
 
     def test_quantiles_monotone_in_level(self, laguerre_table_23):
-        qs = [q for _, q in laguerre_table_23.entries]
+        qs = [laguerre_table_23.threshold_for(alpha) for alpha in (0.9, 0.95, 0.99)]
         assert qs == sorted(qs)
 
     def test_stable_under_doubling_the_sample_count(self):
         alphas = (0.9, 0.95)
         a = tabulate_laguerre_max(1, 5, alphas, 20_000, Seed(22))
         b = tabulate_laguerre_max(1, 5, alphas, 40_000, Seed(23))
-        for (alpha, qa), (_, qb) in zip(a.entries, b.entries):
+        for alpha in alphas:
+            qa, qb = a.threshold_for(alpha), b.threshold_for(alpha)
             exact = chi2.ppf(alpha, 5)
             se_a = math.sqrt(alpha * (1 - alpha) / 20_000) / chi2.pdf(exact, 5)
             se_b = se_a / math.sqrt(2.0)
@@ -146,25 +169,21 @@ class TestIndependenceSmall:
 class TestTabulateAiry1Sums:
     def test_top_coordinate_mean_is_negative(self):
         table = tabulate_airy1_sums(1, (0.45, 0.5, 0.55), 100, 4000, Seed(26))
-        assert table.entries[1][1] < 0.0  # the median is negative too
+        assert table.threshold_for(0.5) < 0.0  # the median is negative too
 
     def test_partial_sum_quantiles_decrease_with_more_coordinates(self):
         tables = {
             r: tabulate_airy1_sums(r, (0.5, 0.9), 100, 4000, Seed(27)) for r in (1, 2, 3)
         }
-        for alpha_idx in (0, 1):
-            qs = [tables[r].entries[alpha_idx][1] for r in (1, 2, 3)]
+        for alpha in (0.5, 0.9):
+            qs = [tables[r].threshold_for(alpha) for r in (1, 2, 3)]
             assert qs[0] > qs[1] > qs[2]
 
     @pytest.mark.slow
     def test_quantiles_stable_in_the_simulated_size(self):
         a = tabulate_airy1_sums(1, (0.5,), 200, 1200, Seed(28))
         b = tabulate_airy1_sums(1, (0.5,), 400, 1200, Seed(29))
-        assert abs(a.entries[0][1] - b.entries[0][1]) < 0.1
-
-    def test_repeated_level_is_an_input_error(self):
-        with pytest.raises(InvalidParams, match="levels must be distinct"):
-            tabulate_airy1_sums(1, (0.9, 0.5, 0.9), 100, 20, Seed(0))
+        assert abs(a.threshold_for(0.5) - b.threshold_for(0.5)) < 0.1
 
     def test_size_floor_enforced(self):
         with pytest.raises(Exception):
@@ -183,6 +202,12 @@ class TestTabulateAiry1Sums:
         assert tops == [1, 2, 10]
         assert ensembles._ds_spectra.cache_info().maxsize == 8
 
+    def test_any_r_up_to_the_simulated_size(self):
+        assert tabulate_airy1_sums(11, (), 100, 20, Seed(0)).params["r"] == 11
+        for r in (0, 101):
+            with pytest.raises(InvalidParams):
+                tabulate_airy1_sums(r, (), 100, 20, Seed(0))
+
     @pytest.mark.parametrize("ratios", [(1.5, 5.0), (1.99, 10.98)])
     def test_quantiles_equal_those_of_the_top_ten_partial_sums(self, ratios):
         """Bisecting only the r summed eigenvalues leaves every quantile bit for bit."""
@@ -193,7 +218,7 @@ class TestTabulateAiry1Sums:
         sums = np.cumsum(edge_scale(params, K) * (top - params.lambda_plus), axis=1)
         for r in (1, 2, 10):
             table = tabulate_airy1_sums(r, alphas, K, n, seed, *ratios)
-            assert [q for _, q in table.entries] == np.quantile(sums[:, r - 1], alphas).tolist()
+            assert [table.threshold_for(a) for a in alphas] == np.quantile(sums[:, r - 1], alphas).tolist()
 
 
 class TestIndependenceLarge:
