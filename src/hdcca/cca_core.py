@@ -87,7 +87,7 @@ class CanonicalSystem:
     correlations_sq: np.ndarray
     alphas: np.ndarray
     betas: np.ndarray
-    clustered: np.ndarray = field(default=None)
+    clustered: np.ndarray = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.correlations_sq, dtype=float)
@@ -96,8 +96,7 @@ class CanonicalSystem:
         if np.any(np.diff(c) > 1e-12):
             raise ClippingError("correlations_sq must be sorted descending")
         object.__setattr__(self, "correlations_sq", np.clip(c, 0.0, 1.0))
-        if self.clustered is None:
-            object.__setattr__(self, "clustered", _cluster_flags(self.correlations_sq))
+        object.__setattr__(self, "clustered", _cluster_flags(self.correlations_sq))
 
     @property
     def correlations(self) -> np.ndarray:

@@ -36,7 +36,7 @@ from .ensembles import Seed
 from .errors import DimensionMismatch, HdccaError, InputFormatError, TableMismatch
 from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, STATISTIC_LAGUERRE_MAX, QuantileTable
 from .spike import simulate_spiked_panels
-from .wachter import WachterParams
+from .wachter import Spectrum, WachterParams
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -63,11 +63,6 @@ def _emit(doc: dict, args) -> None:
     if not args.no_timestamp:
         doc["timestamp"] = hyptest._now()
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
-
-
-def _check_alpha(args) -> None:
-    if not 0.0 < args.alpha < 1.0:
-        raise HdccaError(f"alpha must lie in (0, 1), got {args.alpha}")
 
 
 # Statistic id -> tabulator of (params, nsamples, seed); the unused levels
@@ -151,24 +146,15 @@ def cmd_cca(args) -> int:
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
     system = sample_cca(U, V, tol=args.tol)
+    dims = {"K": U.rows, "M": V.rows, "S": U.cols}
     doc = {
         "schema": CCA_SCHEMA,
         "correlations_sq": [float(c) for c in system.correlations_sq],
         "alphas": [[float(x) for x in row] for row in system.alphas],
         "betas": [[float(x) for x in row] for row in system.betas],
         "clustered": [bool(b) for b in system.clustered],
-        "provenance": {
-            "K": U.rows,
-            "M": V.rows,
-            "S": U.cols,
-            "u_path": Path(args.u).name,
-            "v_path": Path(args.v).name,
-        },
-        "spectrum": {
-            "schema": dataio.SPECTRUM_SCHEMA,
-            "values": [float(c) for c in system.correlations_sq],
-            "meta": {"K": U.rows, "M": V.rows, "S": U.cols},
-        },
+        "provenance": {**dims, "u_path": Path(args.u).name, "v_path": Path(args.v).name},
+        "spectrum": dataio.spectrum_doc(Spectrum(system.correlations_sq, dims)),
     }
     _emit(doc, args)
     return EXIT_OK
@@ -189,7 +175,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_independence(args) -> int:
-    _check_alpha(args)
+    hyptest.check_level(args.alpha)
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
     if args.regime == "small":
@@ -203,7 +189,7 @@ def cmd_independence(args) -> int:
 
 
 def cmd_coint(args) -> int:
-    _check_alpha(args)
+    hyptest.check_level(args.alpha)
     X = dataio.load_timeseries_csv(args.input)
     if args.regime == "small":
         table = _test_table(args, STATISTIC_BROWNIAN_COINT, {"K": X.K, "r": args.r, "n_grid": args.n_grid})

@@ -130,24 +130,27 @@ def make_pi_rank_r(K: int, r: int, scale: float, seed: Seed) -> np.ndarray:
 
 
 def johansen_lambdas(X: TimeSeriesPanel) -> Spectrum:
-    """Squared sample canonical correlations between increments and lagged levels."""
-    if 2 * X.K > X.T:
-        raise TooFewObservations(f"need 2K <= T, got K={X.K}, T={X.T}")
+    """Squared sample canonical correlations between increments and lagged levels.
+
+    Needs 2K <= T, the kernel's K + M <= S.
+    """
     dX = np.diff(X.X, axis=1)
     lag = X.X[:, :-1]
     return Spectrum(values=sample_spectrum(DataPanel(dX), DataPanel(lag)), meta={"K": X.K, "T": X.T})
 
 
-def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
-    """Log likelihood ratio (T/2) sum_{i<=r} log(1 - lambda_i); <= 0."""
+def _top_log_gaps(spec: Spectrum, r: int) -> np.ndarray:
+    """log(1 - lambda_i) for the top r squared correlations, 0 <= r <= len(spec)."""
     if not 0 <= r <= len(spec):
         raise DimensionMismatch(f"rank must satisfy 0 <= r <= {len(spec)}, got {r}")
-    vals = spec.values
-    if np.any(vals >= 1.0 - 1e-12):
-        raise UnitCorrelation(
-            f"top squared correlation {vals[0]} is numerically 1; the statistic diverges"
-        )
-    return float(T / 2.0 * np.sum(np.log1p(-vals[:r])))
+    if np.any(spec.values >= 1.0 - 1e-12):
+        raise UnitCorrelation(f"top squared correlation {spec.values[0]} is numerically 1; the statistic diverges")
+    return np.log1p(-spec.values[:r])
+
+
+def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
+    """Log likelihood ratio (T/2) sum_{i<=r} log(1 - lambda_i); <= 0."""
+    return float(T / 2.0 * np.sum(_top_log_gaps(spec, r)))
 
 
 def simulate_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np.ndarray:
@@ -282,11 +285,8 @@ def coint_test_large(
             RuntimeWarning,
             stacklevel=2,
         )
-    spec = modified_lambdas(X)
-    if np.any(spec.values[:r] >= 1.0 - 1e-12):
-        raise UnitCorrelation("a squared correlation is numerically 1")
+    log_sum = float(np.sum(_top_log_gaps(modified_lambdas(X), r)))
     _, hi, c1, c2 = _large_k_constants(K, T)
-    log_sum = float(np.sum(np.log1p(-spec.values[:r])))
     scale = edge_scale(WachterParams(1.0 + tau, (1.0 + tau) / 2.0), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
     statistic = (r * c1 - log_sum) * (1.0 - hi) * scale
     threshold = airy_table.threshold_for(alpha)

@@ -111,9 +111,13 @@ def load_spectrum_json(path) -> Spectrum:
         raise InputFormatError(f"{path}: invalid spectrum: {e}") from e
 
 
+def spectrum_doc(spec: Spectrum) -> dict:
+    """The spectrum JSON document: :func:`save_spectrum_json` writes it, `hdcca cca` reports embed it."""
+    return {"schema": SPECTRUM_SCHEMA, "values": [float(v) for v in spec.values], "meta": spec.meta}
+
+
 def save_spectrum_json(path, spec: Spectrum) -> None:
-    doc = {"schema": SPECTRUM_SCHEMA, "values": [float(v) for v in spec.values], "meta": spec.meta}
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(spectrum_doc(spec), sort_keys=True) + "\n")
 
 
 def histogram_csv(values, params: WachterParams, bins: int) -> str:

@@ -20,7 +20,6 @@ stay deterministic under any schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lgamma
 from typing import Callable
 
@@ -228,52 +227,40 @@ DS_TEST_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-@lru_cache(maxsize=8)
-def _ds_spectra(params: JacobiParams, nsamples: int, seed: Seed) -> np.ndarray:
-    """Memoized spectra shared by every test function; read-only for that reason."""
-    N = params.N
-    spectra = manova_spectra(N, 2.0 * params.p + N - 1.0, 2.0 * params.q + N - 1.0, nsamples, seed)
-    spectra.setflags(write=False)
-    return spectra
+def ds_residual(params: JacobiParams, nsamples: int, seed: Seed) -> dict[str, tuple[float, float]]:
+    """Monte Carlo residual of the Jacobi loop equation for every test function.
 
-
-def ds_residual(
-    params: JacobiParams, f: str, nsamples: int, seed: Seed
-) -> tuple[float, float]:
-    """Monte Carlo residual of the Jacobi loop equation for test function `f`.
-
-    Returns (estimate, stderr) for LHS - RHS of the identity
+    Returns {f: (estimate, stderr)} over DS_TEST_FUNCTIONS for LHS - RHS of the identity
 
         E[ mu[f(x)((p-1)/(Kx) + (q-1)/(K(x-1)))]
            + (1/2) (mu x mu)[(f(x)-f(y))/(x-y)] ]  =  -(1/2K) E[ mu[f'] ],
 
-    with mu the empirical measure of a J(K; p, q) spectrum.  A correct
-    implementation keeps the estimate within a few stderr of zero.
-    Requires p > 1 and q > 1 (boundary terms invalidate the identity
-    otherwise) and `f` drawn from DS_TEST_FUNCTIONS.
+    with mu the empirical measure of a J(K; p, q) spectrum.  Every test
+    function reads the same `nsamples` spectra.  A correct implementation
+    keeps each estimate within a few stderr of zero.  Requires p > 1 and
+    q > 1 (boundary terms invalidate the identity otherwise).
     """
     if not (params.p > 1.0 and params.q > 1.0):
         raise ParameterRange(f"loop equation needs p > 1 and q > 1, got {params}")
-    if f not in DS_TEST_FUNCTIONS:
-        raise ParameterRange(f"unknown test function {f!r}; choose from {sorted(DS_TEST_FUNCTIONS)}")
-    func, dfunc = DS_TEST_FUNCTIONS[f]
     K = params.N
-    x = _ds_spectra(params, nsamples, seed)  # (n, K), ascending
-
-    fx = func(x)
-    dfx = dfunc(x)
-    # potential term: (1/K^2) sum_k f(x_k) ((p-1)/x_k + (q-1)/(x_k - 1))
-    pot = np.sum(fx * ((params.p - 1.0) / x + (params.q - 1.0) / (x - 1.0)), axis=1) / K**2
-    # pair term: (1/2K^2) sum_{i,k} (f(x_k) - f(x_i)) / (x_k - x_i), f' on the diagonal
+    x = manova_spectra(K, 2.0 * params.p + K - 1.0, 2.0 * params.q + K - 1.0, nsamples, seed)  # ascending
+    weight = (params.p - 1.0) / x + (params.q - 1.0) / (x - 1.0)
     dx = x[:, :, None] - x[:, None, :]
-    df = fx[:, :, None] - fx[:, None, :]
-    quot = np.divide(df, dx, out=np.zeros_like(df), where=dx != 0.0)
+    off = dx != 0.0
     idx = np.arange(K)
-    quot[:, idx, idx] = dfx
-    pair = np.sum(quot, axis=(1, 2)) / (2.0 * K**2)
-    # moving the RHS over: residual sample = LHS + (1/2K) mu[f']
-    res = pot + pair + np.sum(dfx, axis=1) / (2.0 * K**2)
-
-    est = float(np.mean(res))
-    stderr = float(np.std(res, ddof=1) / np.sqrt(len(res)))
-    return est, stderr
+    out = {}
+    for f, (func, dfunc) in DS_TEST_FUNCTIONS.items():
+        fx = func(x)
+        dfx = dfunc(x)
+        # potential term: (1/K^2) sum_k f(x_k) ((p-1)/x_k + (q-1)/(x_k - 1))
+        pot = np.sum(fx * weight, axis=1) / K**2
+        # pair term: (1/2K^2) sum_{i,k} (f(x_k) - f(x_i)) / (x_k - x_i), f' on the diagonal;
+        # where x_k = x_i the difference quotient is left at f(x_k) - f(x_i) = 0
+        quot = fx[:, :, None] - fx[:, None, :]
+        np.divide(quot, dx, out=quot, where=off)
+        quot[:, idx, idx] = dfx
+        pair = np.sum(quot, axis=(1, 2)) / (2.0 * K**2)
+        # moving the RHS over: residual sample = LHS + (1/2K) mu[f']
+        res = pot + pair + np.sum(dfx, axis=1) / (2.0 * K**2)
+        out[f] = float(np.mean(res)), float(np.std(res, ddof=1) / np.sqrt(len(res)))
+    return out

@@ -79,8 +79,7 @@ class QuantileTable:
 
         numpy's default (linear) method: index (n - 1) alpha, then its two-sided lerp.
         """
-        if not 0.0 < alpha < 1.0:
-            raise InvalidParams(f"alpha must lie in (0, 1), got {alpha}")
+        check_level(alpha)
         x, at = self.draws, (len(self.draws) - 1) * alpha
         i = math.floor(at)
         if i >= len(x) - 1:
@@ -176,6 +175,12 @@ class TestReport:
         }
 
 
+def check_level(alpha: float) -> None:
+    """Raise InvalidParams unless the test level lies in (0, 1); NaN fails too."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParams(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _now() -> str:
     """UTC time in ISO 8601, for table `built_at` and report `timestamp` fields."""
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -222,7 +227,7 @@ def tabulate_airy1_sums(
     if sim_size < 100:
         raise InvalidParams(f"sim_size must be >= 100, got {sim_size}")
     K, M, S = sim_size, int(round(m_ratio * sim_size)), int(round(s_ratio * sim_size))
-    law = WachterParams(tau_k=S / K, tau_m=S / M)
+    law = WachterParams.from_dimensions(K, M, S)
     top = manova_spectra(K, M, S - M, nsamples, seed, top=r_max)[:, ::-1]  # summed largest first
     sums = np.cumsum(edge_scale(law, K) * (top - law.lambda_plus), axis=1)[:, -1]
     params = {"r": r_max, "sim_size": sim_size, "m_ratio": m_ratio, "s_ratio": s_ratio}
@@ -271,7 +276,7 @@ def independence_test_large(
             stacklevel=2,
         )
     try:
-        params = WachterParams(tau_k=S / K, tau_m=S / M)
+        params = WachterParams.from_dimensions(K, M, S)
     except InvalidParams as e:
         raise InvalidRegime(f"plug-in ratios outside the valid region: {e}") from e
     top = float(sample_spectrum(U, V)[0])

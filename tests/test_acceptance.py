@@ -210,13 +210,8 @@ def test_criterion_07_rank_one_update_equation_is_exact():
 
 
 def test_criterion_08_loop_equation_balances_for_every_test_function():
-    params = JacobiParams(10, 5.0, 5.0)
-    results = {}
-    ok = True
-    for name in DS_TEST_FUNCTIONS:
-        est, stderr = ds_residual(params, name, 100_000, Seed(108))
-        results[name] = (est, stderr)
-        ok = ok and abs(est) < 4 * stderr
+    results = ds_residual(JacobiParams(10, 5.0, 5.0), 100_000, Seed(108))
+    ok = list(results) == list(DS_TEST_FUNCTIONS) and all(abs(e) < 4 * s for e, s in results.values())
     detail = ", ".join(f"{n}: {e:+.2e} ({e / s:+.2f} se)" for n, (e, s) in results.items())
     report(8, ok, f"loop-equation residuals within 4 se: {detail}")
     assert ok

@@ -272,6 +272,8 @@ class TestInvariances:
             betas=np.eye(3),
         )
         assert cs.clustered.tolist() == [True, True, False]
+        with pytest.raises(TypeError):  # always derived, never passed in
+            CanonicalSystem(np.array([0.5]), np.eye(1), np.eye(1), np.array([True]))
 
 
 def mixed_panels(seed, K, M, S, shared):

@@ -139,6 +139,19 @@ class TestCcaCommand:
             )
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_spectrum_block_loads_as_a_spectrum_file(self, tmp_path):
+        out, spec = tmp_path / "report.json", tmp_path / "spec.json"
+        run_cli(
+            ["cca", "--u", str(DATA / "panel_u_3x20.csv"), "--v", str(DATA / "panel_v_4x20.csv"),
+             "--no-timestamp", "--output", str(out)],
+            tmp_path,
+        )
+        doc = json.loads(out.read_text())
+        spec.write_text(json.dumps(doc["spectrum"]))
+        loaded = load_spectrum_json(spec)
+        assert loaded.values.tolist() == doc["correlations_sq"]
+        assert loaded.meta == {"K": 3, "M": 4, "S": 20}
+
 
 class TestHistogramCommand:
     def _spectrum_file(self, tmp_path):
@@ -507,7 +520,7 @@ class TestBadInput:
             (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "x"],
              "InputFormatError"),
             (["independence"], "InputFormatError"),
-            (["independence", "--regime", "small", "--alpha", "1.5"], "HdccaError"),
+            (["independence", "--regime", "small", "--alpha", "1.5"], "InvalidParams"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "3"], "HdccaError"),
             (["cca", "--output", "{dir}"], "IsADirectoryError"),
             (["simulate", "var1", "--k", "2", "--t", "5", "--output", "{dir}"], "IsADirectoryError"),
@@ -547,6 +560,32 @@ class TestBadInput:
         code = main(argv) if "--table-cache-dir" in argv else run_cli(argv, tmp_path)
         assert code == 2
         assert error_of(capsys)["error"] == error
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [["independence", "--regime", "small", "--u", "{missing}", "--v", "{missing}"],
+         ["coint", "--regime", "large", "--input", "{missing}"]],
+        ids=["independence", "coint"],
+    )
+    def test_bad_level_fails_before_any_work(self, tmp_path, capsys, command, alpha):
+        missing, cache = tmp_path / "missing.csv", tmp_path / "cache"
+        cache.mkdir()
+        argv = [*(a.format(missing=missing) for a in command), "--alpha", alpha]
+        assert main([*argv, "--table-cache-dir", str(cache)]) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InvalidParams"
+        assert "alpha must lie in (0, 1)" in err["message"]
+        assert not any(cache.iterdir())
+
+    def test_large_regime_rank_above_k(self, tmp_path, capsys):
+        ts = tmp_path / "ts.csv"
+        assert run_cli(["simulate", "var1", "--k", "3", "--t", "100", "--seed", "1", "--output", str(ts)], tmp_path) == 0
+        argv = ["coint", "--input", str(ts), "--regime", "large", "--r", "5", "--nsamples", "200"]
+        assert run_cli(argv, tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == "DimensionMismatch"
+        assert "0 <= r <= 3, got 5" in err["message"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])
     def test_help_still_exits_zero(self, capsys, argv):

@@ -123,7 +123,7 @@ class TestJohansenLambdas:
 
     def test_horizon_floor(self):
         X = simulate_var1(VarModel.pure_random_walk(5), 9, Seed(46))
-        with pytest.raises(TooFewObservations):
+        with pytest.raises(TooFewObservations, match="K \\+ M = 10 > S = 9"):
             johansen_lambdas(X)
 
 
@@ -322,6 +322,14 @@ class TestCointLarge:
         X = simulate_var1(VarModel.pure_random_walk(20), 300, Seed(63))
         with pytest.raises(TableMismatch):
             coint_test_large(X, 2, 0.95, airy_table_r1_coupling)
+
+    def test_rank_above_k_is_a_dimension_mismatch(self, airy_table_r1):
+        # the small-regime rule: r = 5 on a 3-variable series must not sum the 3 values it has
+        X = simulate_var1(VarModel.pure_random_walk(3), 100, Seed(1))
+        with pytest.raises(DimensionMismatch, match="0 <= r <= 3, got 5"):
+            coint_test_large(X, 5, 0.95, _retarget_rank(airy_table_r1, 5))
+        with pytest.raises(DimensionMismatch):
+            trace_statistic(johansen_lambdas(X), 5, X.T)
 
 
 class TestDistributionFreeness:

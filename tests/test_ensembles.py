@@ -233,11 +233,11 @@ class TestLaguerreLimit:
 
 class TestDsResidual:
     def test_constant_function_balances_first_moments(self):
-        est, stderr = ds_residual(JacobiParams(5, 3.0, 4.0), "const", 40_000, Seed(14))
+        est, stderr = ds_residual(JacobiParams(5, 3.0, 4.0), 40_000, Seed(14))["const"]
         assert abs(est) < 4 * stderr
 
     def test_linear_function_at_reference_parameters(self):
-        est, stderr = ds_residual(JacobiParams(10, 5.0, 5.0), "x", 100_000, Seed(15))
+        est, stderr = ds_residual(JacobiParams(10, 5.0, 5.0), 100_000, Seed(15))["x"]
         assert abs(est) < 4 * stderr
 
     def test_rhs_term_halves_when_size_doubles(self):
@@ -250,14 +250,27 @@ class TestDsResidual:
 
     def test_non_integer_widths_balance(self):
         # (2p+N-1, 2q+N-1) = (7.6, 9): no Gaussian panel has these widths
-        est, stderr = ds_residual(JacobiParams(4, 2.3, 3.0), "x", 20_000, Seed(0))
+        est, stderr = ds_residual(JacobiParams(4, 2.3, 3.0), 20_000, Seed(0))["x"]
         assert abs(est) < 4 * stderr
 
     def test_parameter_range_enforced(self):
         with pytest.raises(ParameterRange):
-            ds_residual(JacobiParams(4, 1.0, 3.0), "x", 100, Seed(0))
-        with pytest.raises(ParameterRange):
-            ds_residual(JacobiParams(4, 2.0, 3.0), "nope", 100, Seed(0))
+            ds_residual(JacobiParams(4, 1.0, 3.0), 100, Seed(0))
+
+    def test_one_draw_serves_every_test_function(self, monkeypatch):
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return manova_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "manova_spectra", counting)
+        params = JacobiParams(4, 2.0, 3.0)
+        first = ds_residual(params, 500, Seed(3))
+        assert list(first) == list(DS_TEST_FUNCTIONS)
+        assert len(draws) == 1
+        assert ds_residual(params, 500, Seed(3)) == first
+        assert len(draws) == 2  # the second call drew again: no memo
 
 
 class TestDistributionalInvariance:
