@@ -11,7 +11,9 @@ Reports are JSON on stdout or ``--output``; pass ``--no-timestamp`` for
 byte-identical reruns.  Quantile tables live in one on-disk store
 (:func:`_table`), one file per identity (statistic, parameters, nsamples,
 seed), checked on every read; a table keeps its draws, so one file serves
-every ``--alpha``.  ``tabulate`` without ``--output`` pre-warms it.  The
+every ``--alpha``.  A test names its table and asks for it (:class:`_Store`)
+only after its input passes, so a bad input builds and stores no table.
+``tabulate`` without ``--output`` pre-warms the store.  The
 cache directory comes from ``--table-cache-dir``, then
 ``$HDCCA_TABLE_DIR``, then ``$XDG_CACHE_HOME/hdcca``, then
 ``~/.cache/hdcca``.
@@ -98,33 +100,40 @@ def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
     )
     seed = _seed(args)
     key = json.dumps(
-        {
-            "statistic": statistic_id,
-            "params": params,
-            "nsamples": args.nsamples,
-            "seed": [seed.value, seed.stream],
-        },
+        {"statistic": statistic_id, "params": params, "nsamples": args.nsamples, "seed": [seed.value, seed.stream]},
         sort_keys=True,
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     path = cache / f"{statistic_id.lower()}-{digest}.json"
     if path.exists():
         table = QuantileTable.load(path)
-        wanted = (statistic_id, params, args.nsamples, seed)
-        found = (table.statistic_id, {k: table.params.get(k) for k in params}, len(table.draws), table.seed)
-        if found != wanted:
-            raise TableMismatch(f"{path}: stored table is {found}, request is {wanted}")
-        return table, path
+        try:
+            if (len(table.draws), table.seed) != (args.nsamples, seed):
+                raise TableMismatch(
+                    f"table has {len(table.draws)} draws at {table.seed}, request is {args.nsamples} at {seed}"
+                )
+            return table.require(statistic_id, **params), path
+        except TableMismatch as e:
+            raise TableMismatch(f"{path}: stored {e}") from None
     table = _tabulate(args, statistic_id, params)
     table.save(path)
     return table, path
 
 
-def _test_table(args, statistic_id: str, params: dict) -> QuantileTable:
-    """The ``--table`` file if one is given, else the stored table."""
-    if args.table:
-        return QuantileTable.load(args.table)
-    return _table(args, statistic_id, params)[0]
+@dataclasses.dataclass(frozen=True)
+class _Store:
+    """Where a test, once its input has passed, asks for its table: the ``--table``
+    file, else the stored table, whose identity adds the statistic's tabulation option."""
+
+    args: argparse.Namespace
+
+    def require(self, statistic_id: str, **params) -> QuantileTable:
+        if self.args.table:
+            return QuantileTable.load(self.args.table).require(statistic_id, **params)
+        option = {STATISTIC_AIRY1_SUM: "sim_size", STATISTIC_BROWNIAN_COINT: "n_grid"}.get(statistic_id)
+        if option:
+            params[option] = getattr(self.args, option)
+        return _table(self.args, statistic_id, params)[0]
 
 
 def _emit_report(args, report) -> int:
@@ -178,26 +187,15 @@ def cmd_independence(args) -> int:
     hyptest.check_level(args.alpha)
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
-    if args.regime == "small":
-        k, m = sorted((U.rows, V.rows))
-        table = _test_table(args, STATISTIC_LAGUERRE_MAX, {"K": k, "M": m})
-        report = hyptest.independence_test_small(U, V, args.alpha, table)
-    else:
-        table = _test_table(args, STATISTIC_AIRY1_SUM, {"r": 1, "sim_size": args.sim_size})
-        report = hyptest.independence_test_large(U, V, args.alpha, table)
-    return _emit_report(args, report)
+    test = hyptest.independence_test_small if args.regime == "small" else hyptest.independence_test_large
+    return _emit_report(args, test(U, V, args.alpha, _Store(args)))
 
 
 def cmd_coint(args) -> int:
     hyptest.check_level(args.alpha)
     X = dataio.load_timeseries_csv(args.input)
-    if args.regime == "small":
-        table = _test_table(args, STATISTIC_BROWNIAN_COINT, {"K": X.K, "r": args.r, "n_grid": args.n_grid})
-        report = cointegration.coint_test_small(X, args.r, args.alpha, table)
-    else:
-        table = _test_table(args, STATISTIC_AIRY1_SUM, {"r": args.r, "sim_size": args.sim_size})
-        report = cointegration.coint_test_large(X, args.r, args.alpha, table)
-    return _emit_report(args, report)
+    test = cointegration.coint_test_small if args.regime == "small" else cointegration.coint_test_large
+    return _emit_report(args, test(X, args.r, args.alpha, _Store(args)))
 
 
 def cmd_simulate(args) -> int:

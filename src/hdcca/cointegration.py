@@ -204,7 +204,7 @@ def coint_test_small(
     statistic < -(1/2) q_alpha, i.e. when the likelihood ratio is large
     and negative.
     """
-    table.require(STATISTIC_BROWNIAN_COINT, K=X.K, r=r)
+    statistic = trace_statistic(johansen_lambdas(X), r, X.T)
     if X.K > _SMALL_K_WARN:
         warnings.warn(
             f"K = {X.K} > {_SMALL_K_WARN}: the fixed-K limit needs K much smaller "
@@ -212,8 +212,7 @@ def coint_test_small(
             RuntimeWarning,
             stacklevel=2,
         )
-    statistic = trace_statistic(johansen_lambdas(X), r, X.T)
-    threshold = -0.5 * table.threshold_for(alpha)
+    threshold = -0.5 * table.require(STATISTIC_BROWNIAN_COINT, K=X.K, r=r).threshold_for(alpha)
     return TestReport(
         statistic, threshold, alpha, statistic < threshold, "small_dim", {"K": X.K, "T": X.T, "r": r}
     )
@@ -255,7 +254,10 @@ def coint_lambda_pm(tau: float) -> tuple[float, float]:
 
 def _large_k_constants(K: int, T: int) -> tuple[float, float, float, float]:
     """Edges (lo, hi), log-gap c1 = log(1 - hi) and edge scale c2 = -c_plus^(-2/3) / (1 - hi)
-    of the null modified spectrum's Wachter law, ratio pair (1 + tau, (1 + tau) / 2), tau = T/K."""
+    of the null modified spectrum's Wachter law, ratio pair (1 + tau, (1 + tau) / 2), tau = T/K > 2
+    (the large-K regime; InvalidRegime otherwise)."""
+    if T <= 2 * K:
+        raise InvalidRegime(f"need T > 2K, got K={K}, T={T}")
     tau = T / K
     lo, hi = coint_lambda_pm(tau)
     c2 = -upper_edge_constant(WachterParams(1.0 + tau, (1.0 + tau) / 2.0)) ** (-2.0 / 3.0) / (1.0 - hi)
@@ -273,11 +275,12 @@ def coint_test_large(
     statistic up: reject iff it exceeds the tabulated q_alpha of the sum
     of the top r Airy_1 coordinates.
     """
-    airy_table.require(STATISTIC_AIRY1_SUM, r=r)
     K, T = X.K, X.T
-    if T <= 2 * K:
-        raise InvalidRegime(f"need T > 2K, got K={K}, T={T}")
+    _, hi, c1, c2 = _large_k_constants(K, T)
     tau = T / K
+    log_sum = float(np.sum(_top_log_gaps(modified_lambdas(X), r)))
+    scale = edge_scale(WachterParams(1.0 + tau, (1.0 + tau) / 2.0), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
+    statistic = (r * c1 - log_sum) * (1.0 - hi) * scale
     if tau < _LARGE_RATIO_WARN:
         warnings.warn(
             f"T/K = {tau:.2f} is close to the lower validity boundary 2; "
@@ -285,11 +288,7 @@ def coint_test_large(
             RuntimeWarning,
             stacklevel=2,
         )
-    log_sum = float(np.sum(_top_log_gaps(modified_lambdas(X), r)))
-    _, hi, c1, c2 = _large_k_constants(K, T)
-    scale = edge_scale(WachterParams(1.0 + tau, (1.0 + tau) / 2.0), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
-    statistic = (r * c1 - log_sum) * (1.0 - hi) * scale
-    threshold = airy_table.threshold_for(alpha)
+    threshold = airy_table.require(STATISTIC_AIRY1_SUM, r=r).threshold_for(alpha)
     return TestReport(
         statistic, threshold, alpha, statistic > threshold, "large_dim",
         {"K": K, "T": T, "r": r, "c1": c1, "c2": c2, "tau": tau},
@@ -341,8 +340,7 @@ def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> Coupling
     edge and the edge fluctuation unit, so the finite-size location
     offset can be read on the scale of the edge law (see CouplingReport).
     """
-    if T <= 2 * K:
-        raise InvalidRegime(f"need T > 2K, got K={K}, T={T}")
+    _, hi, _, _ = _large_k_constants(K, T)
     model = VarModel.pure_random_walk(K)
     lam1 = np.empty(nsamples)
     for rep in range(nsamples):
@@ -350,7 +348,6 @@ def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> Coupling
         lam1[rep] = modified_lambdas(X).values[0]
     jacobi_seed = Seed(seed.value, seed.stream + 1)
     x1 = manova_spectra(K, 2 * K - 1, T - K - 1, nsamples, jacobi_seed, top=1)[:, -1]
-    _, hi, _, _ = _large_k_constants(K, T)
     mean_lambda1, mean_x1 = float(np.mean(lam1)), float(np.mean(x1))
     return CouplingReport(
         ks_distance=_two_sample_ks(lam1, x1),

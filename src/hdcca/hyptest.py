@@ -87,11 +87,16 @@ class QuantileTable:
         t, diff = at - i, x[i + 1] - x[i]
         return x[i] + diff * t if t < 0.5 else x[i + 1] - diff * (1 - t)
 
-    def require(self, statistic_id: str, **params) -> None:
-        """Raise TableMismatch unless this is a `statistic_id` table with these `params`."""
+    def require(self, statistic_id: str, **params) -> "QuantileTable":
+        """Return this table; raise TableMismatch unless it is a `statistic_id` table with these `params`.
+
+        Each test calls this once its input has passed; the CLI hands the tests
+        a store with the same method, which reads or builds the table.
+        """
         found = (self.statistic_id, {k: self.params.get(k) for k in params})
         if found != (statistic_id, params):
             raise TableMismatch(f"table is {found}, test needs {(statistic_id, params)}")
+        return self
 
     def dumps(self) -> str:
         doc = {
@@ -243,11 +248,10 @@ def independence_test_small(
     dimensions (order-insensitive).
     """
     k, m = sorted((U.rows, V.rows))
-    table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m)
     S = U.cols
     top = float(sample_spectrum(U, V)[0])
     statistic = S * top
-    threshold = table.threshold_for(alpha)
+    threshold = table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m).threshold_for(alpha)
     return TestReport(
         statistic, threshold, alpha, statistic > threshold, "small_dim",
         {"K": U.rows, "M": V.rows, "S": S, "top_corr_sq": top},
@@ -264,10 +268,15 @@ def independence_test_large(
     tabulated top-coordinate (r = 1) edge law: reject iff it exceeds
     q_alpha.
     """
-    table.require(STATISTIC_AIRY1_SUM, r=1)
     if U.rows > V.rows:
         U, V = V, U
     K, M, S = U.rows, V.rows, U.cols
+    try:
+        params = WachterParams.from_dimensions(K, M, S)
+    except InvalidParams as e:
+        raise InvalidRegime(f"plug-in ratios outside the valid region: {e}") from e
+    top = float(sample_spectrum(U, V)[0])
+    statistic = edge_scale(params, K) * (top - params.lambda_plus)
     if min(K, M) < _SMALL_DIM_WARN:
         warnings.warn(
             f"min(K, M) = {min(K, M)} < {_SMALL_DIM_WARN}: the edge approximation "
@@ -275,13 +284,7 @@ def independence_test_large(
             RuntimeWarning,
             stacklevel=2,
         )
-    try:
-        params = WachterParams.from_dimensions(K, M, S)
-    except InvalidParams as e:
-        raise InvalidRegime(f"plug-in ratios outside the valid region: {e}") from e
-    top = float(sample_spectrum(U, V)[0])
-    statistic = edge_scale(params, K) * (top - params.lambda_plus)
-    threshold = table.threshold_for(alpha)
+    threshold = table.require(STATISTIC_AIRY1_SUM, r=1).threshold_for(alpha)
     return TestReport(
         statistic, threshold, alpha, statistic > threshold, "large_dim",
         {"K": K, "M": M, "S": S, "top_corr_sq": top, "lambda_plus": params.lambda_plus,

@@ -578,14 +578,37 @@ class TestBadInput:
         assert "alpha must lie in (0, 1)" in err["message"]
         assert not any(cache.iterdir())
 
-    def test_large_regime_rank_above_k(self, tmp_path, capsys):
-        ts = tmp_path / "ts.csv"
-        assert run_cli(["simulate", "var1", "--k", "3", "--t", "100", "--seed", "1", "--output", str(ts)], tmp_path) == 0
-        argv = ["coint", "--input", str(ts), "--regime", "large", "--r", "5", "--nsamples", "200"]
-        assert run_cli(argv, tmp_path) == 2
+    VAR1_K60 = ["var1", "--k", "60", "--t", "100", "--output", "{dir}/ts.csv"]
+    VAR1_K3 = ["var1", "--k", "3", "--t", "100", "--seed", "1", "--output", "{dir}/ts.csv"]
+    PANELS_40_50_80 = ["panels", "--k", "40", "--m", "50", "--s", "80",
+                       "--output-u", "{dir}/u.csv", "--output-v", "{dir}/v.csv"]
+    COINT = ["coint", "--input", "{dir}/ts.csv", "--n-grid", "100"]
+    INDEPENDENCE = ["independence", "--u", "{dir}/u.csv", "--v", "{dir}/v.csv"]
+
+    @pytest.mark.parametrize(
+        "simulate, test, error, message",
+        [
+            (VAR1_K60, [*COINT, "--regime", "small"], "TooFewObservations", "K + M = 120 > S = 100"),
+            (VAR1_K3, [*COINT, "--regime", "large", "--r", "5"], "DimensionMismatch", "0 <= r <= 3, got 5"),
+            (PANELS_40_50_80, [*INDEPENDENCE, "--regime", "large"], "InvalidRegime", "plug-in ratios"),
+            (VAR1_K60, [*COINT, "--regime", "large"], "InvalidRegime", "need T > 2K, got K=60, T=100"),
+            (PANELS_40_50_80, [*INDEPENDENCE, "--regime", "small"], "TooFewObservations", "K + M = 90 > S = 80"),
+            (VAR1_K3, [*COINT, "--regime", "small", "--r", "5"], "DimensionMismatch", "0 <= r <= 3, got 5"),
+        ],
+        ids=["coint-small-t-below-2k", "coint-large-rank-above-k", "independence-large-outside-region",
+             "coint-large-t-below-2k", "independence-small-k-plus-m-above-s", "coint-small-rank-above-k"],
+    )
+    def test_bad_input_builds_no_table(self, tmp_path, capsys, simulate, test, error, message):
+        # the test checks its input before it asks for a table, so nothing is tabulated or stored
+        simulate, test = ([a.format(dir=tmp_path) for a in argv] for argv in (simulate, test))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert run_cli(["simulate", *simulate], tmp_path) == 0
+        assert run_cli([*test, "--nsamples", "200"], tmp_path) == 2
         err = error_of(capsys)
-        assert err["error"] == "DimensionMismatch"
-        assert "0 <= r <= 3, got 5" in err["message"]
+        assert err["error"] == error
+        assert message in err["message"]
+        assert not any(cache.iterdir())
 
     @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])
     def test_help_still_exits_zero(self, capsys, argv):

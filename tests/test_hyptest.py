@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ from hdcca import hyptest
 from hdcca.cca_core import DataPanel
 from hdcca.cointegration import VarModel, coint_test_large, coint_test_small, simulate_var1
 from hdcca.ensembles import Seed, manova_spectra
-from hdcca.errors import InvalidParams, InvalidRegime, TableMismatch
+from hdcca.errors import DimensionMismatch, InvalidParams, InvalidRegime, TableMismatch, TooFewObservations
 from hdcca.hyptest import (
     STATISTIC_AIRY1_SUM,
     STATISTIC_BROWNIAN_COINT,
@@ -104,9 +105,74 @@ class TestQuantileTable:
             "coint_small": (lambda: coint_test_small(X, 1, 0.95, table), (STATISTIC_BROWNIAN_COINT, {"K": 2, "r": 1})),
             "coint_large": (lambda: coint_test_large(X, 1, 0.95, table), (STATISTIC_AIRY1_SUM, {"r": 1})),
         }[test]
-        with pytest.raises(TableMismatch, match=statistic_id) as info:
+        # the statistic comes before the table, so the 2 x 3 panels warn first
+        warns = pytest.warns(RuntimeWarning) if test == "independence_large" else contextlib.nullcontext()
+        with warns, pytest.raises(TableMismatch, match=statistic_id) as info:
             run()
         assert str(needed) in str(info.value)
+
+
+def _panels(K, M, S):
+    return simulate_spiked_panels(K, M, S, [], Seed(0))
+
+
+def _series(K, T):
+    return simulate_var1(VarModel.pure_random_walk(K), T, Seed(0))
+
+
+class RecordingStore:
+    """Stands in for a table store: records each request and answers it with a one-draw table."""
+
+    def __init__(self):
+        self.calls = []
+
+    def require(self, statistic_id, **params):
+        self.calls.append((statistic_id, params))
+        return QuantileTable(statistic_id, params, (1.0,), Seed(0))
+
+
+class TestTableRequest:
+    """Each test asks its store once, with its identity, and only after its input passes."""
+
+    @pytest.mark.parametrize(
+        "test, identity",
+        [
+            (lambda store: independence_test_small(*_panels(3, 2, 60), 0.95, store),
+             (STATISTIC_LAGUERRE_MAX, {"K": 2, "M": 3})),
+            (lambda store: independence_test_large(*_panels(60, 50, 300), 0.95, store),
+             (STATISTIC_AIRY1_SUM, {"r": 1})),
+            (lambda store: coint_test_small(_series(3, 100), 2, 0.95, store),
+             (STATISTIC_BROWNIAN_COINT, {"K": 3, "r": 2})),
+            (lambda store: coint_test_large(_series(3, 100), 2, 0.95, store), (STATISTIC_AIRY1_SUM, {"r": 2})),
+        ],
+        ids=["independence_small", "independence_large", "coint_small", "coint_large"],
+    )
+    def test_valid_input_asks_once_with_its_identity(self, test, identity):
+        store = RecordingStore()
+        report = test(store)
+        assert store.calls == [identity]
+        assert report.threshold in (1.0, -0.5)  # read off the table the store answered with
+
+    @pytest.mark.parametrize(
+        "test, error",
+        [
+            (lambda store: independence_test_small(*_panels(40, 50, 80), 0.95, store), TooFewObservations),
+            (lambda store: independence_test_large(*_panels(40, 50, 80), 0.95, store), InvalidRegime),
+            (lambda store: coint_test_small(_series(60, 100), 1, 0.95, store), TooFewObservations),
+            (lambda store: coint_test_small(_series(3, 100), 5, 0.95, store), DimensionMismatch),
+            (lambda store: coint_test_large(_series(60, 100), 1, 0.95, store), InvalidRegime),
+            (lambda store: coint_test_large(_series(3, 100), 5, 0.95, store), DimensionMismatch),
+        ],
+        ids=["independence_small-k-plus-m-above-s", "independence_large-outside-region",
+             "coint_small-t-below-2k", "coint_small-rank-above-k",
+             "coint_large-t-below-2k", "coint_large-rank-above-k"],
+    )
+    def test_bad_input_never_asks(self, test, error):
+        # with warnings as errors, this also pins each regime warning after the input checks
+        store = RecordingStore()
+        with pytest.raises(error):
+            test(store)
+        assert store.calls == []
 
 
 class TestTabulateLaguerreMax:
