@@ -68,14 +68,14 @@ def _emit(doc: dict, args) -> None:
 
 
 # Statistic id -> tabulator of (params, nsamples, seed); the unused levels
-# slot gets ().  Each entry looks its function up in the module at call
-# time, so a wrapper installed on the module (the benchmark's tracer) sees
-# every build.
+# slot gets (), the unused Brownian grid slot None.  Each entry looks its
+# function up in the module at call time, so a wrapper installed on the
+# module (the benchmark's tracer) sees every build.
 _TABULATORS = {
     STATISTIC_LAGUERRE_MAX: lambda p, n, seed: hyptest.tabulate_laguerre_max(p["K"], p["M"], (), n, seed),
     STATISTIC_AIRY1_SUM: lambda p, n, seed: hyptest.tabulate_airy1_sums(p["r"], (), p["sim_size"], n, seed),
     STATISTIC_BROWNIAN_COINT: lambda p, n, seed: cointegration.tabulate_brownian_coint(
-        p["K"], p["r"], (), p["n_grid"], n, seed
+        p["K"], p["r"], (), None, n, seed
     ),
 }
 
@@ -123,16 +123,15 @@ def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
 @dataclasses.dataclass(frozen=True)
 class _Store:
     """Where a test, once its input has passed, asks for its table: the ``--table``
-    file, else the stored table, whose identity adds the statistic's tabulation option."""
+    file, else the stored table, whose identity adds ``--sim-size`` to an Airy_1 table's."""
 
     args: argparse.Namespace
 
     def require(self, statistic_id: str, **params) -> QuantileTable:
         if self.args.table:
             return QuantileTable.load(self.args.table).require(statistic_id, **params)
-        option = {STATISTIC_AIRY1_SUM: "sim_size", STATISTIC_BROWNIAN_COINT: "n_grid"}.get(statistic_id)
-        if option:
-            params[option] = getattr(self.args, option)
+        if statistic_id == STATISTIC_AIRY1_SUM:
+            params["sim_size"] = self.args.sim_size
         return _table(self.args, statistic_id, params)[0]
 
 
@@ -223,7 +222,7 @@ def cmd_tabulate(args) -> int:
     params = {
         "laguerre-max": {"K": args.k, "M": args.m},
         "airy1-sum": {"r": args.r, "sim_size": args.sim_size},
-        "brownian-coint": {"K": args.k, "r": args.r, "n_grid": args.n_grid},
+        "brownian-coint": {"K": args.k, "r": args.r},
     }[args.statistic]
     _require_options(f"tabulate {args.statistic}", {name.lower(): value for name, value in params.items()})
     statistic_id = args.statistic.upper().replace("-", "_")
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coint", help="test for cointegration in a time-series CSV")
     p.add_argument("--input", required=True, help="time-series CSV")
     p.add_argument("--r", type=int, default=1, help="cointegration rank under the alternative")
-    p.add_argument("--n-grid", type=int, default=1000, help="Brownian discretization steps")
     _add_test_options(p)
     _add_common(p)
     p.set_defaults(func=cmd_coint)
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="second dimension (laguerre-max)")
     p.add_argument("--r", type=int, default=1, help="number of top coordinates summed")
     p.add_argument("--sim-size", type=int, default=100)
-    p.add_argument("--n-grid", type=int, default=1000)
     p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
     _add_common(p)
     p.set_defaults(func=cmd_tabulate)

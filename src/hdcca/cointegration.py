@@ -153,25 +153,47 @@ def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
     return float(T / 2.0 * np.sum(_top_log_gaps(spec, r)))
 
 
-def simulate_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np.ndarray:
+_MODES = 32  # Fourier modes of the Brownian bridge kept by simulate_brownian_null
+
+
+def _brownian_integrals(rng: np.random.Generator, n: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, V), each (n, K, K), for n draws of K motions on [0, 1]: C_ij = Ito int B_j dB_i, V = int B B^T.
+
+    B(t) - t xi = a_0/2 + sum_k (a_k cos 2 pi k t + b_k sin 2 pi k t) with xi = B(1), a_k, b_k ~
+    N(0, I / (2 pi^2 k^2)), all independent, and a_0 = -2 sum_k a_k (Kloeden, Platen and Wright, Stoch.
+    Anal. Appl. 10, 1992).  So h = int(B - t xi) = a_0/2, g = int t (B - t xi) = a_0/4 - sum_k b_k/(2 pi k),
+    V = xi xi^T/3 + xi g^T + g xi^T + h h^T + sum_k (a_k a_k^T + b_k b_k^T)/2, C = (xi xi^T - I + D)/2 and
+    D = 2 (xi h^T - h xi^T) + 2 pi sum_k k (b_k a_k^T - a_k b_k^T).  Past _MODES the tails of a_0 and g are
+    drawn whole (sum_k 1/(2 pi^2 k^2) = 1/12, sum_k 1/(8 pi^4 k^4) = 1/720), V's tail is its mean, so
+    E[V] = I/2, and D's tail, uncorrelated with the rest, is a Gaussian of its variance, so E[D_ij^2] = 1
+    (after Wiktorsson, Ann. Appl. Probab. 11, 2001; dropped, it biases the top eigenvalue low at K = 5).
+    """
+    k = np.arange(1.0, _MODES + 1.0)
+    var = 1.0 / (2.0 * math.pi**2 * k**2)
+    tail = 1.0 / 12.0 - var.sum()
+    z = rng.standard_normal((n, 2 * _MODES + 3 + K, K))  # xi, the two tails, a_k, b_k, D's tail
+    ab = z[:, 3 : 2 * _MODES + 3] * np.sqrt(np.tile(var, 2))[:, None]
+    xi, a, b = z[:, 0], ab[:, :_MODES], ab[:, _MODES:]
+    h = -a.sum(axis=1) - math.sqrt(tail) * z[:, 1]
+    g = h / 2.0 - np.einsum("nkj,k->nj", b, 0.5 / (math.pi * k)) + math.sqrt(1.0 / 720.0 - var @ var / 2.0) * z[:, 2]
+    xx, xg, xh, hh = (x[:, :, None] * y[:, None, :] for x, y in ((xi, xi), (xi, g), (xi, h), (h, h)))
+    V = xx / 3.0 + xg + np.swapaxes(xg, 1, 2) + hh + 0.5 * np.swapaxes(ab, 1, 2) @ ab + tail * np.eye(K)
+    Q = xh + math.pi * np.swapaxes(b * k[:, None], 1, 2) @ a + math.sqrt(tail / 2.0) * z[:, 2 * _MODES + 3 :]
+    return 0.5 * (xx - np.eye(K)) + Q - np.swapaxes(Q, 1, 2), V  # D = 2 (Q - Q^T)
+
+
+def simulate_brownian_null(K: int, nsamples: int, seed: Seed) -> np.ndarray:
     """Samples of the Brownian functional eigenvalues (nu_1 >= ... >= nu_K).
 
-    Discretizes K independent standard Brownian motions on n_grid steps;
-    the stochastic integrals use left-point sums (the Ito convention;
-    midpoint rules would converge to a different object) and the quadratic
-    functionals use left-point Riemann sums.  Returns an (nsamples, K)
-    array, rows descending, drawn 256 at a time.
+    nu are the eigenvalues of C V^-1 C^T for the Ito C_ij = int B_j dB_i and V = int B B^T of K
+    standard Brownian motions on [0, 1], drawn from _MODES Fourier modes of the Brownian bridge
+    (:func:`_brownian_integrals`) at O(_MODES K^2) work a draw.  Returns an (nsamples, K) array,
+    rows descending, drawn 256 at a time.
     """
-    if n_grid < 100:
-        raise InvalidParams(f"n_grid must be >= 100, got {n_grid}")
 
     def blocks(rng: np.random.Generator, sizes: list[int]):
         for b in sizes:
-            dB = rng.standard_normal((b, K, n_grid)) / math.sqrt(n_grid)
-            B = np.cumsum(dB, axis=2)
-            Blag = np.concatenate([np.zeros((b, K, 1)), B[:, :, :-1]], axis=2)
-            C = dB @ np.swapaxes(Blag, 1, 2)  # C[i,j] = sum_l Blag_j dB_i
-            V = Blag @ np.swapaxes(Blag, 1, 2) / n_grid
+            C, V = _brownian_integrals(rng, b, K)
             M = C @ np.linalg.solve(V, np.swapaxes(C, 1, 2))
             w = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
             yield w[:, ::-1]
@@ -180,18 +202,19 @@ def simulate_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np
 
 
 def tabulate_brownian_coint(
-    K: int, r: int, alphas, n_grid: int, nsamples: int, seed: Seed
+    K: int, r: int, alphas, n_grid, nsamples: int, seed: Seed
 ) -> QuantileTable:
-    """Draws of the sum of the top r Brownian functional eigenvalues.
+    """Draws of the sum of the top r Brownian functional eigenvalues, from :func:`simulate_brownian_null`.
 
-    ``alphas`` is unused, as in :func:`hyptest.tabulate_laguerre_max`.
+    The table's identity is (K, r).  ``alphas`` is unused, as in :func:`hyptest.tabulate_laguerre_max`,
+    and so is ``n_grid``, the grid size of an earlier Euler sampler: the series has no grid, and the
+    slot stays for callers that pass the later arguments by position.
     """
     if not 1 <= r <= K:
         raise InvalidParams(f"need 1 <= r <= K, got r={r}, K={K}")
-    nu = simulate_brownian_null(K, n_grid, nsamples, seed)
+    nu = simulate_brownian_null(K, nsamples, seed)
     sums = np.sum(nu[:, :r], axis=1)
-    params = {"K": K, "r": r, "n_grid": n_grid}
-    return QuantileTable.from_samples(STATISTIC_BROWNIAN_COINT, params, sums, seed)
+    return QuantileTable.from_samples(STATISTIC_BROWNIAN_COINT, {"K": K, "r": r}, sums, seed)
 
 
 def coint_test_small(

@@ -31,7 +31,7 @@ def laguerre_table_23():
 
 @pytest.fixture(scope="session")
 def brownian_table_k2_r1():
-    return tabulate_brownian_coint(2, 1, ALPHAS, n_grid=1000, nsamples=10_000, seed=Seed(1004))
+    return tabulate_brownian_coint(2, 1, ALPHAS, n_grid=None, nsamples=10_000, seed=Seed(1004))
 
 
 @pytest.fixture()

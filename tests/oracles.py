@@ -6,7 +6,10 @@ projectors, and the sequential maximization oracle finds each canonical
 pair by projected ascent over unit vectors of the two row spaces.  The
 dense MANOVA sampler is the law oracle of
 :func:`hdcca.ensembles.manova_spectra`: it builds each draw from its
-Gaussian definition instead of the bidiagonal Jacobi model.
+Gaussian definition instead of the bidiagonal Jacobi model.  The Euler
+Brownian sampler is the law oracle of
+:func:`hdcca.cointegration.simulate_brownian_null`: it integrates each draw
+on a grid instead of summing the Fourier series of the Brownian bridge.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from hdcca.cca_core import (
     _checked_cholesky,
     _clip_unit_interval,
 )
-from hdcca.ensembles import Seed
+from hdcca.ensembles import Seed, _fill_blocks
 from hdcca.errors import DimensionMismatch, HdccaError, TooFewObservations
 from hdcca.wachter import Spectrum
 
@@ -185,3 +188,25 @@ def dense_manova_spectra(K: int, L: int, Q: int, n: int, seed: Seed) -> np.ndarr
         M = R @ A @ R
         out[i] = np.linalg.eigvalsh(0.5 * (M + M.T))
     return out
+
+
+def euler_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np.ndarray:
+    """(nsamples, K) Brownian functional eigenvalues, rows descending, from K motions on n_grid steps.
+
+    The stochastic integrals use left-point sums (the Ito convention;
+    midpoint rules would converge to a different object) and the quadratic
+    functionals use left-point Riemann sums.  Drawn 256 at a time.
+    """
+
+    def blocks(rng: np.random.Generator, sizes: list[int]):
+        for b in sizes:
+            dB = rng.standard_normal((b, K, n_grid)) / np.sqrt(n_grid)
+            B = np.cumsum(dB, axis=2)
+            Blag = np.concatenate([np.zeros((b, K, 1)), B[:, :, :-1]], axis=2)
+            C = dB @ np.swapaxes(Blag, 1, 2)  # C[i,j] = sum_l Blag_j dB_i
+            V = Blag @ np.swapaxes(Blag, 1, 2) / n_grid
+            M = C @ np.linalg.solve(V, np.swapaxes(C, 1, 2))
+            w = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, 1, 2)))
+            yield w[:, ::-1]
+
+    return _fill_blocks(nsamples, K, 256, seed, blocks)

@@ -273,7 +273,7 @@ def test_criterion_11_scalar_trace_statistic_matches_the_brownian_functional():
     for i in range(reps):
         X = simulate_var1(model, T, Seed(111, i))
         scaled[i] = T * johansen_lambdas(X).values[0]
-    nu1 = simulate_brownian_null(1, 1000, 10_000, Seed(111, 10**6))[:, 0]
+    nu1 = simulate_brownian_null(1, 10_000, Seed(111, 10**6))[:, 0]
     allv = np.sort(np.concatenate([scaled, nu1]))
     fa = np.searchsorted(np.sort(scaled), allv, side="right") / len(scaled)
     fb = np.searchsorted(np.sort(nu1), allv, side="right") / len(nu1)

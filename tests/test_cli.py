@@ -212,7 +212,7 @@ class TestPipelines:
         out = tmp_path / "rep.json"
         code = run_cli(
             ["coint", "--input", str(ts), "--regime", "small", "--r", "1",
-             "--nsamples", "1500", "--n-grid", "300", "--no-timestamp", "--output", str(out)],
+             "--nsamples", "1500", "--no-timestamp", "--output", str(out)],
             tmp_path,
         )
         doc = json.loads(out.read_text())
@@ -228,7 +228,7 @@ class TestPipelines:
         )
         code = run_cli(
             ["coint", "--input", str(ts), "--regime", "small", "--r", "1",
-             "--nsamples", "1500", "--n-grid", "300", "--no-timestamp"],
+             "--nsamples", "1500", "--no-timestamp"],
             tmp_path,
         )
         assert code == 3
@@ -241,7 +241,7 @@ class TestPipelines:
             out = tmp_path / name
             run_cli(
                 ["coint", "--input", str(ts), "--regime", "small", "--r", "1", "--seed", "8",
-                 "--nsamples", "1000", "--n-grid", "200", "--no-timestamp", "--output", str(out)],
+                 "--nsamples", "1000", "--no-timestamp", "--output", str(out)],
                 tmp_path,
             )
             outs.append(out.read_bytes())
@@ -582,7 +582,7 @@ class TestBadInput:
     VAR1_K3 = ["var1", "--k", "3", "--t", "100", "--seed", "1", "--output", "{dir}/ts.csv"]
     PANELS_40_50_80 = ["panels", "--k", "40", "--m", "50", "--s", "80",
                        "--output-u", "{dir}/u.csv", "--output-v", "{dir}/v.csv"]
-    COINT = ["coint", "--input", "{dir}/ts.csv", "--n-grid", "100"]
+    COINT = ["coint", "--input", "{dir}/ts.csv"]
     INDEPENDENCE = ["independence", "--u", "{dir}/u.csv", "--v", "{dir}/v.csv"]
 
     @pytest.mark.parametrize(
@@ -609,6 +609,14 @@ class TestBadInput:
         assert err["error"] == error
         assert message in err["message"]
         assert not any(cache.iterdir())
+
+    def test_grid_option_is_gone(self, tmp_path, capsys):
+        # the series sampler has no grid, so the Brownian table has no grid option
+        argv = ["coint", "--input", str(tmp_path / "ts.csv"), "--regime", "small", "--n-grid", "100"]
+        assert run_cli(argv, tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InputFormatError"
+        assert "unrecognized arguments: --n-grid 100" in err["message"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])
     def test_help_still_exits_zero(self, capsys, argv):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binom, ks_2samp
 
+from hdcca import cointegration
 from hdcca.cca_core import DataPanel
 from hdcca.cointegration import (
     TimeSeriesPanel,
@@ -31,7 +32,9 @@ from hdcca.errors import (
     TooFewObservations,
     UnitCorrelation,
 )
+from hdcca.hyptest import STATISTIC_BROWNIAN_COINT
 from hdcca.wachter import Spectrum, support_endpoints
+from oracles import euler_brownian_null
 
 
 class TestTimeSeriesPanel:
@@ -166,25 +169,55 @@ class TestBrownianNull:
         assert np.sum(dB**2) == pytest.approx(1.0, abs=5.0 * math.sqrt(2.0 / n))
 
     def test_terminal_value_has_unit_variance(self):
-        nu = simulate_brownian_null(1, 200, 4000, Seed(48))
-        assert nu.shape == (4000, 1)
-        assert np.all(nu >= 0.0)
+        # the Ito identity C + C^T = xi xi^T - I puts xi_i^2 = B_i(1)^2 on the diagonal as 2 C_ii + 1
+        C, _ = cointegration._brownian_integrals(Seed(48).generator(), 20_000, 2)
+        xi2 = 2.0 * np.diagonal(C, axis1=1, axis2=2).ravel() + 1.0
+        assert np.all(xi2 >= 0.0)
+        assert np.mean(xi2) == pytest.approx(1.0, abs=5.0 * math.sqrt(2.0 / len(xi2)))
 
-    def test_quantiles_stable_in_the_grid_resolution(self):
-        q = {}
-        for n_grid, seed in ((500, 49), (1000, 50)):
-            nu = simulate_brownian_null(1, n_grid, 6000, Seed(seed))[:, 0]
-            q[n_grid] = np.quantile(nu, 0.95)
-            # standard error of the 95% quantile via the order-statistic spacing
-            srt = np.sort(nu)
-            k = int(0.95 * len(srt))
-            dens = 0.02 / (srt[k + 60] - srt[k - 60])
-            se = math.sqrt(0.95 * 0.05 / len(srt)) / dens
-        assert abs(q[500] - q[1000]) < 4 * se
+    def test_block_moments_match_the_brownian_integrals(self):
+        # E[V] = I/2 with the tail mean included, E[C] = 0, and E[D_ij^2] = 1 for D = C - C^T:
+        # D_ij = int B_j dB_i - int B_i dB_j has variance E int (B_i^2 + B_j^2) = 1, area tail included
+        C, V = cointegration._brownian_integrals(Seed(49).generator(), 20_000, 3)
+        for sample, mean in ((V, 0.5 * np.eye(3)), (C, np.zeros((3, 3)))):
+            se = sample.std(axis=0) / math.sqrt(len(sample))
+            assert np.all(np.abs(sample.mean(axis=0) - mean) < 5.0 * se)
+        D2 = (C - np.swapaxes(C, 1, 2))[:, [0, 0, 1], [1, 2, 2]] ** 2
+        assert np.all(np.abs(D2.mean(axis=0) - 1.0) < 5.0 * D2.std(axis=0) / math.sqrt(len(D2)))
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_law_matches_the_euler_oracle(self, K):
+        # every partial sum of the top r eigenvalues, r = 1..K, against 4000 Euler draws on 2000 steps;
+        # on 1000 steps the oracle's own bias at K = 5 reads a KS of 0.010 against 10^5 series draws
+        series = np.cumsum(simulate_brownian_null(K, 20_000, Seed(59, K)), axis=1)
+        euler = np.cumsum(euler_brownian_null(K, 2000, 4000, Seed(58, K)), axis=1)
+        pvalues = [ks_2samp(series[:, r], euler[:, r]).pvalue for r in range(K)]
+        assert min(pvalues) > 0.01
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_quantiles_stable_under_doubling_the_modes(self, monkeypatch, K):
+        # q95 of the top eigenvalue at twice the modes lies within the two 10^4-draw tables' 95%
+        # order-statistic half-widths (binomial 2.5% and 97.5% points) of q95 at the default
+        n, q, half = 10_000, {}, {}
+        lo, hi = int(binom.ppf(0.025, n, 0.95)) - 1, int(binom.ppf(0.975, n, 0.95)) - 1
+        for modes in (cointegration._MODES, 2 * cointegration._MODES):
+            monkeypatch.setattr(cointegration, "_MODES", modes)
+            draws = tabulate_brownian_coint(K, 1, (), None, n, Seed(50, K)).draws
+            q[modes], half[modes] = np.quantile(draws, 0.95), (draws[hi] - draws[lo]) / 2.0
+        (q_m, q_2m), (h_m, h_2m) = q.values(), half.values()
+        assert abs(q_m - q_2m) < h_m + h_2m
 
     def test_descending_rows(self):
-        nu = simulate_brownian_null(3, 200, 50, Seed(51))
+        nu = simulate_brownian_null(3, 50, Seed(51))
+        assert nu.shape == (50, 3)
         assert np.all(np.diff(nu, axis=1) <= 1e-12)
+        assert np.all(nu[:, -1] >= -1e-12)
+
+    def test_bench_positional_call_ignores_the_grid_slot(self):
+        # the benchmark's mc_study set-up passes 1000 in the unused n_grid slot by position
+        table = tabulate_brownian_coint(2, 1, (0.9, 0.95, 0.99), 1000, 2000, Seed(52))
+        assert (table.statistic_id, table.params) == (STATISTIC_BROWNIAN_COINT, {"K": 2, "r": 1})
+        assert table.draws == tabulate_brownian_coint(2, 1, (0.9, 0.95, 0.99), 300, 2000, Seed(52)).draws
 
 
 class TestCointSmall:
@@ -207,7 +240,7 @@ class TestCointSmall:
 
     def test_zero_rank_never_rejects(self, brownian_table_k2_r1):
         X = simulate_var1(VarModel.pure_random_walk(2), 300, Seed(55))
-        table = tabulate_brownian_coint(2, 1, (0.95,), 300, 2000, Seed(56))
+        table = tabulate_brownian_coint(2, 1, (0.95,), None, 2000, Seed(56))
         # rank 0: statistic is identically 0 and the threshold is negative
         report = coint_test_small(X, 0, 0.95, _retarget_rank(table, 0))
         assert report.statistic_value == 0.0
