@@ -16,9 +16,9 @@ from hdcca import (
     Seed,
     TimeSeriesPanel,
     VarModel,
-    WachterParams,
     coint_lambda_pm,
     coint_test_large,
+    detrended_law,
     modified_lambdas,
     simulate_var1,
     tabulate_airy1_sums,
@@ -36,7 +36,7 @@ def main() -> None:
 
     K, T = args.k, args.t
     tau = T / K
-    params = WachterParams(1.0 + tau, (1.0 + tau) / 2.0)
+    params = detrended_law(tau)
     lo, hi = coint_lambda_pm(tau)
     print(f"ratio T/K = {tau:.2f}; bulk support [{lo:.5f}, {hi:.5f}]")
 

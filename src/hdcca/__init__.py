@@ -21,6 +21,7 @@ from .cointegration import (
     coint_lambda_pm,
     coint_test_large,
     coint_test_small,
+    detrended_law,
     jacobi_coupling_check,
     johansen_lambdas,
     make_pi_rank_r,

@@ -2,8 +2,10 @@
 
 Subcommands: ``cca`` (correlations from two CSV panels), ``histogram``
 (plot-ready CSV of an empirical spectrum with the limit-density overlay),
-``independence`` and ``coint`` (hypothesis tests), ``simulate`` (synthetic
-panels and VAR(1) series), ``tabulate`` (Monte Carlo quantile tables).
+``independence`` and ``coint`` (hypothesis tests), ``simulate panels|var1``
+(synthetic data) and ``tabulate laguerre-max|airy1-sum|brownian-coint``
+(quantile tables).  Each command and kind declares exactly the options it
+reads, so the parser, the only option check, rejects any other.
 
 Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error or a path
 that cannot be read or written (one-line ``hdcca.error/1`` JSON on stderr).
@@ -13,10 +15,9 @@ byte-identical reruns.  Quantile tables live in one on-disk store
 seed), checked on every read; a table keeps its draws, so one file serves
 every ``--alpha``.  A test names its table and asks for it (:class:`_Store`)
 only after its input passes, so a bad input builds and stores no table.
-``tabulate`` without ``--output`` pre-warms the store.  The
-cache directory comes from ``--table-cache-dir``, then
-``$HDCCA_TABLE_DIR``, then ``$XDG_CACHE_HOME/hdcca``, then
-``~/.cache/hdcca``.
+``tabulate`` without ``--output`` pre-warms the store, in the cache directory
+``--table-cache-dir``, else ``$HDCCA_TABLE_DIR``, else
+``$XDG_CACHE_HOME/hdcca``, else ``~/.cache/hdcca``.
 """
 
 from __future__ import annotations
@@ -171,13 +172,11 @@ def cmd_cca(args) -> int:
 def cmd_histogram(args) -> int:
     if args.bins < 5:
         raise HdccaError(f"need at least 5 histogram bins, got {args.bins}")
+    coint = args.coint_tau is not None
+    if (args.tau_k is None, args.tau_m is None) != (coint, coint):
+        raise HdccaError("histogram needs either --tau-k and --tau-m or --coint-tau")
+    params = cointegration.detrended_law(args.coint_tau) if coint else WachterParams(args.tau_k, args.tau_m)
     spec = dataio.load_spectrum_json(args.spectrum)
-    if args.coint_tau is not None:
-        params = WachterParams(tau_k=1.0 + args.coint_tau, tau_m=(1.0 + args.coint_tau) / 2.0)
-    else:
-        if args.tau_k is None or args.tau_m is None:
-            raise HdccaError("histogram needs either --tau-k and --tau-m or --coint-tau")
-        params = WachterParams(tau_k=args.tau_k, tau_m=args.tau_m)
     _write(dataio.histogram_csv(spec.values, params, args.bins), args.output)
     return EXIT_OK
 
@@ -197,34 +196,31 @@ def cmd_coint(args) -> int:
     return _emit_report(args, test(X, args.r, args.alpha, _Store(args)))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate_panels(args) -> int:
+    rho2s = _floats(args.rho2, "--rho2") if args.rho2 else []
+    U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, _seed(args))
+    dataio.save_panel_csv(args.output_u, U)
+    dataio.save_panel_csv(args.output_v, V)
+    return EXIT_OK
+
+
+def cmd_simulate_var1(args) -> int:
     seed = _seed(args)
-    if args.kind == "panels":
-        rho2s = _floats(args.rho2, "--rho2") if args.rho2 else []
-        U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, seed)
-        dataio.save_panel_csv(args.output_u, U)
-        dataio.save_panel_csv(args.output_v, V)
-    else:  # var1
-        if args.pi_corner:
-            if args.k < 1:
-                raise DimensionMismatch(f"--pi-corner needs --k >= 1, got {args.k}")
-            pi = np.zeros((args.k, args.k))
-            pi[0, 0] = -1.0
-        else:
-            pi = cointegration.make_pi_rank_r(args.k, args.pi_rank, args.pi_scale, seed)
-        model = VarModel(pi=pi, lam=np.eye(args.k), x0=np.zeros(args.k))
-        ts = cointegration.simulate_var1(model, args.t, Seed(seed.value, seed.stream + 1))
-        dataio.save_timeseries_csv(args.output, ts)
+    if args.pi_corner:
+        if args.k < 1:
+            raise DimensionMismatch(f"--pi-corner needs --k >= 1, got {args.k}")
+        pi = np.zeros((args.k, args.k))
+        pi[0, 0] = -1.0
+    else:
+        pi = cointegration.make_pi_rank_r(args.k, args.pi_rank, args.pi_scale, seed)
+    model = VarModel(pi=pi, lam=np.eye(args.k), x0=np.zeros(args.k))
+    ts = cointegration.simulate_var1(model, args.t, Seed(seed.value, seed.stream + 1))
+    dataio.save_timeseries_csv(args.output, ts)
     return EXIT_OK
 
 
 def cmd_tabulate(args) -> int:
-    params = {
-        "laguerre-max": {"K": args.k, "M": args.m},
-        "airy1-sum": {"r": args.r, "sim_size": args.sim_size},
-        "brownian-coint": {"K": args.k, "r": args.r},
-    }[args.statistic]
-    _require_options(f"tabulate {args.statistic}", {name.lower(): value for name, value in params.items()})
+    params = {name: getattr(args, name) for name in args.identity}
     statistic_id = args.statistic.upper().replace("-", "_")
     if args.output:
         _tabulate(args, statistic_id, params).save(args.output)
@@ -248,34 +244,40 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(f"{self.prog}: {message}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed value")
     p.add_argument("--stream", type=int, default=0, help="RNG stream index")
+
+
+def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the report here instead of stdout")
     p.add_argument("--no-timestamp", action="store_true", help="omit timestamps for byte-identical output")
+
+
+def _add_store(p: argparse.ArgumentParser) -> None:
+    _add_seed(p)
+    _add_report(p)
     p.add_argument("--table-cache-dir", help="quantile table cache directory")
+    p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES, help="Monte Carlo draws of a table")
 
 
 def _add_test_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
     p.add_argument("--regime", choices=("small", "large"), required=True)
     p.add_argument("--table", help="quantile table JSON (tabulated on demand if omitted)")
-    p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
     p.add_argument("--sim-size", type=int, default=100, help="internal spectrum size for edge tabulation")
+    _add_store(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hdcca",
-        description="High-dimensional canonical correlation analysis toolkit",
-    )
+    parser = _Parser(prog="hdcca", description="High-dimensional canonical correlation analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cca", help="canonical correlations between two CSV panels")
     p.add_argument("--u", required=True, help="first panel CSV (variables x observations)")
     p.add_argument("--v", required=True, help="second panel CSV")
     p.add_argument("--tol", type=float, default=1e-10, help="relative rank tolerance")
-    _add_common(p)
+    _add_report(p)
     p.set_defaults(func=cmd_cca)
 
     p = sub.add_parser("histogram", help="binned spectrum with limit-density overlay")
@@ -284,74 +286,70 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-m", type=float, help="ratio S/M of the overlay")
     p.add_argument("--coint-tau", type=float, help="cointegration ratio T/K; overlays the (1+tau, (1+tau)/2) law")
     p.add_argument("--bins", type=int, default=40, help="number of bins over [0, 1]")
-    _add_common(p)
+    p.add_argument("--output", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("independence", help="test independence of two panels")
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     _add_test_options(p)
-    _add_common(p)
     p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("coint", help="test for cointegration in a time-series CSV")
     p.add_argument("--input", required=True, help="time-series CSV")
     p.add_argument("--r", type=int, default=1, help="cointegration rank under the alternative")
     _add_test_options(p)
-    _add_common(p)
     p.set_defaults(func=cmd_coint)
 
-    p = sub.add_parser("simulate", help="generate synthetic data")
-    p.add_argument("kind", choices=("panels", "var1"))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, help="second panel dimension (panels)")
-    p.add_argument("--s", type=int, help="observation count (panels)")
-    p.add_argument("--rho2", help="comma-separated planted squared correlations (panels)")
-    p.add_argument("--t", type=int, help="horizon (var1)")
-    p.add_argument("--pi-rank", type=int, default=0, help="rank of the coefficient matrix (var1)")
-    p.add_argument("--pi-scale", type=float, default=-0.5, help="factor scale (var1)")
-    p.add_argument("--pi-corner", action="store_true", help="single -1 in the top-left corner (var1)")
-    p.add_argument("--output-u", help="first panel output CSV (panels)")
-    p.add_argument("--output-v", help="second panel output CSV (panels)")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    kinds = sub.add_parser("simulate", help="generate synthetic data").add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("panels", help="two Gaussian panels with planted squared correlations")
+    p.add_argument("--k", type=int, required=True, help="first panel dimension")
+    p.add_argument("--m", type=int, required=True, help="second panel dimension")
+    p.add_argument("--s", type=int, required=True, help="observation count")
+    p.add_argument("--rho2", help="comma-separated planted squared correlations")
+    p.add_argument("--output-u", required=True, help="first panel output CSV")
+    p.add_argument("--output-v", required=True, help="second panel output CSV")
+    _add_seed(p)
+    p.set_defaults(func=cmd_simulate_panels)
+
+    p = kinds.add_parser("var1", help="a VAR(1) time series")
+    p.add_argument("--k", type=int, required=True, help="dimension")
+    p.add_argument("--t", type=int, required=True, help="horizon")
+    p.add_argument("--pi-rank", type=int, default=0, help="rank of the coefficient matrix")
+    p.add_argument("--pi-scale", type=float, default=-0.5, help="factor scale")
+    p.add_argument("--pi-corner", action="store_true", help="single -1 in the top-left corner")
+    p.add_argument("--output", required=True, help="time-series output CSV")
+    _add_seed(p)
+    p.set_defaults(func=cmd_simulate_var1)
 
     p = sub.add_parser("tabulate", help="build a Monte Carlo quantile table")
-    p.add_argument("--statistic", choices=("laguerre-max", "airy1-sum", "brownian-coint"), required=True)
-    p.add_argument("--k", type=int, help="panel dimension (laguerre-max, brownian-coint)")
-    p.add_argument("--m", type=int, help="second dimension (laguerre-max)")
-    p.add_argument("--r", type=int, default=1, help="number of top coordinates summed")
-    p.add_argument("--sim-size", type=int, default=100)
-    p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES)
-    _add_common(p)
-    p.set_defaults(func=cmd_tabulate)
+    kinds = p.add_subparsers(dest="statistic", required=True)
+    # each kind declares the keys of its table identity: key -> (option, add_argument kwargs)
+    options = {
+        "K": ("--k", dict(type=int, required=True, help="panel dimension")),
+        "M": ("--m", dict(type=int, required=True, help="second dimension")),
+        "r": ("--r", dict(type=int, default=1, help="number of top coordinates summed")),
+        "sim_size": ("--sim-size", dict(type=int, default=100, help="internal spectrum size")),
+    }
+    identities = {"laguerre-max": ("K", "M"), "airy1-sum": ("r", "sim_size"), "brownian-coint": ("K", "r")}
+    for kind, identity in identities.items():
+        p = kinds.add_parser(kind, help=f"the {kind} table")
+        for name in identity:
+            p.add_argument(options[name][0], dest=name, **options[name][1])
+        _add_store(p)
+        p.set_defaults(func=cmd_tabulate, identity=identity)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "simulate":
-            _validate_simulate_args(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (HdccaError, OSError) as e:  # OSError: a path that cannot be read or written
         err = {"schema": "hdcca.error/1", "error": type(e).__name__, "message": str(e)}
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return EXIT_INPUT_ERROR
-
-
-def _validate_simulate_args(args) -> None:
-    needed = ("m", "s", "output_u", "output_v") if args.kind == "panels" else ("t", "output")
-    _require_options(f"simulate {args.kind}", {n.replace("_", "-"): getattr(args, n) for n in needed})
-
-
-def _require_options(command: str, values: dict) -> None:
-    """Raise HdccaError naming every option in ``values`` (name -> parsed value) left unset."""
-    missing = [f"--{name}" for name, value in values.items() if value is None]
-    if missing:
-        raise HdccaError(f"{command} needs {', '.join(missing)}")
 
 
 if __name__ == "__main__":

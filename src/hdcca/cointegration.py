@@ -265,8 +265,7 @@ def coint_lambda_pm(tau: float) -> tuple[float, float]:
     """Bulk support endpoints of the null modified spectrum at ratio tau = T/K.
 
     Closed form (sqrt(2 tau) -+ sqrt(tau - 1))^2 / (tau + 1)^2; these are
-    exactly the support endpoints of the Wachter law with ratio pair
-    (1 + tau, (1 + tau) / 2).
+    exactly the support endpoints of :func:`detrended_law` (tau).
     """
     if not tau > 2.0:
         raise InvalidParams(f"ratio must exceed 2, got {tau}")
@@ -275,15 +274,20 @@ def coint_lambda_pm(tau: float) -> tuple[float, float]:
     return (a - b) ** 2 / (tau + 1.0) ** 2, (a + b) ** 2 / (tau + 1.0) ** 2
 
 
+def detrended_law(tau: float) -> WachterParams:
+    """Wachter law of the null modified spectrum at ratio tau = T/K: ratio pair (1 + tau, (1 + tau) / 2)."""
+    return WachterParams(1.0 + tau, (1.0 + tau) / 2.0)
+
+
 def _large_k_constants(K: int, T: int) -> tuple[float, float, float, float]:
     """Edges (lo, hi), log-gap c1 = log(1 - hi) and edge scale c2 = -c_plus^(-2/3) / (1 - hi)
-    of the null modified spectrum's Wachter law, ratio pair (1 + tau, (1 + tau) / 2), tau = T/K > 2
+    of the null modified spectrum's law :func:`detrended_law` (tau), tau = T/K > 2
     (the large-K regime; InvalidRegime otherwise)."""
     if T <= 2 * K:
         raise InvalidRegime(f"need T > 2K, got K={K}, T={T}")
     tau = T / K
     lo, hi = coint_lambda_pm(tau)
-    c2 = -upper_edge_constant(WachterParams(1.0 + tau, (1.0 + tau) / 2.0)) ** (-2.0 / 3.0) / (1.0 - hi)
+    c2 = -upper_edge_constant(detrended_law(tau)) ** (-2.0 / 3.0) / (1.0 - hi)
     return lo, hi, math.log1p(-hi), c2
 
 
@@ -302,7 +306,7 @@ def coint_test_large(
     _, hi, c1, c2 = _large_k_constants(K, T)
     tau = T / K
     log_sum = float(np.sum(_top_log_gaps(modified_lambdas(X), r)))
-    scale = edge_scale(WachterParams(1.0 + tau, (1.0 + tau) / 2.0), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
+    scale = edge_scale(detrended_law(tau), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
     statistic = (r * c1 - log_sum) * (1.0 - hi) * scale
     if tau < _LARGE_RATIO_WARN:
         warnings.warn(
@@ -378,7 +382,7 @@ def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> Coupling
         mean_lambda1=mean_lambda1,
         mean_x1=mean_x1,
         lambda_plus=hi,
-        edge_unit=1.0 / edge_scale(WachterParams(1.0 + T / K, (1.0 + T / K) / 2.0), K),
+        edge_unit=1.0 / edge_scale(detrended_law(T / K), K),
         nsamples=nsamples,
         diagnostics={"K": K, "T": T},
     )

@@ -83,6 +83,8 @@ def _fill_blocks(n: int, K: int, block_size: int, seed: Seed, blocks: Callable) 
     unlike a function per block, keeps one block's arrays alive while the next is drawn, so
     their memory is reused rather than released and faulted in again.
     """
+    if K < 1:
+        raise DimensionMismatch(f"need K >= 1, got K={K}")
     if n < 1:
         raise InvalidParams(f"nsamples must be >= 1, got {n}")
     sizes = [min(block_size, n - start) for start in range(0, n, block_size)]

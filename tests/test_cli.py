@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from hdcca import hyptest
-from hdcca.cli import main
+from hdcca.cli import build_parser, main
 from hdcca.dataio import (
     SPECTRUM_SCHEMA,
     load_panel_csv,
@@ -31,7 +32,9 @@ DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, tmp_path):
-    return main([*args, "--table-cache-dir", str(tmp_path / "cache")])
+    if args[0] in ("independence", "coint", "tabulate"):  # the commands that read the table store
+        args = [*args, "--table-cache-dir", str(tmp_path / "cache")]
+    return main(args)
 
 
 class TestDataIo:
@@ -201,6 +204,16 @@ class TestHistogramCommand:
         path, _ = self._spectrum_file(tmp_path)
         assert run_cli(["histogram", "--spectrum", str(path)], tmp_path) == 2
 
+    @pytest.mark.parametrize("ratios", [["--tau-k", "4"], ["--tau-m", "2"]], ids=["tau-k", "tau-m"])
+    def test_coint_tau_with_a_ratio_is_refused(self, tmp_path, capsys, ratios):
+        # --coint-tau no longer wins silently over a ratio given next to it
+        path, out = tmp_path / "spec.json", tmp_path / "h.csv"
+        save_spectrum_json(path, Spectrum(np.array([0.6, 0.3, 0.1])))
+        argv = ["histogram", "--spectrum", str(path), "--coint-tau", "3", *ratios, "--output", str(out)]
+        assert run_cli(argv, tmp_path) == 2
+        assert error_of(capsys)["error"] == "HdccaError"
+        assert not out.exists()
+
 
 class TestPipelines:
     def test_simulate_then_coint_small_null(self, tmp_path):
@@ -259,7 +272,7 @@ class TestPipelines:
     def test_tabulate_round_trip(self, tmp_path):
         out = tmp_path / "table.json"
         code = run_cli(
-            ["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3",
+            ["tabulate", "laguerre-max", "--k", "2", "--m", "3",
              "--nsamples", "2000", "--seed", "7",
              "--no-timestamp", "--output", str(out)],
             tmp_path,
@@ -364,7 +377,7 @@ class TestPipelines:
 
     def test_missing_tabulate_dimensions_exit_code(self, tmp_path, capsys):
         code = run_cli(
-            ["tabulate", "--statistic", "laguerre-max", "--nsamples", "100"],
+            ["tabulate", "laguerre-max", "--nsamples", "100"],
             tmp_path,
         )
         assert code == 2
@@ -399,13 +412,13 @@ def small_panels(tmp_path):
 
 
 class TestTableStore:
-    TABULATE_23 = ["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "200"]
+    TABULATE_23 = ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "200"]
     PINNED_NAME = "laguerre_max-ca1a652a6e5ad2f555143ce4.json"
 
     def test_tables_of_different_dimensions_get_different_files(self, tmp_path):
         assert run_cli(self.TABULATE_23, tmp_path) == 0
         assert run_cli(
-            ["tabulate", "--statistic", "laguerre-max", "--k", "3", "--m", "5", "--nsamples", "200"], tmp_path
+            ["tabulate", "laguerre-max", "--k", "3", "--m", "5", "--nsamples", "200"], tmp_path
         ) == 0
         assert len(list((tmp_path / "cache").iterdir())) == 2
 
@@ -417,6 +430,13 @@ class TestTableStore:
         path = Path(capsys.readouterr().out.strip())
         assert path.name == self.PINNED_NAME
         assert path.parent == tmp_path / "cache"
+
+    def test_airy_table_keeps_its_name_and_bytes(self, tmp_path, capsys):
+        # the file `tabulate --statistic airy1-sum` stored before the statistic became the kind
+        assert run_cli(["tabulate", "airy1-sum", "--nsamples", "100", "--no-timestamp"], tmp_path) == 0
+        path = Path(capsys.readouterr().out.strip())
+        assert path.name == "airy1_sum-f4064e9e8d8cf54078e56a4d.json"
+        assert path.read_bytes() == (DATA / path.name).read_bytes()
 
     def test_tabulate_prewarms_the_independence_table(self, tmp_path, capsys, monkeypatch):
         assert run_cli(self.TABULATE_23, tmp_path) == 0
@@ -497,6 +517,40 @@ class TestTableStore:
         assert str(path) in err["message"]
 
 
+# Each command or kind, called so that it succeeds, and the options it does not read.
+UNREAD_BASE = {
+    "cca": ["cca", "--u", "{u}", "--v", "{v}", "--output", "{out}/cca.json"],
+    "histogram": ["histogram", "--spectrum", "{spec}", "--tau-k", "5", "--tau-m", "3", "--output", "{out}/h.csv"],
+    "simulate panels": ["simulate", "panels", "--k", "2", "--m", "3", "--s", "20",
+                        "--output-u", "{out}/u.csv", "--output-v", "{out}/v.csv"],
+    "simulate var1": ["simulate", "var1", "--k", "2", "--t", "10", "--output", "{out}/ts.csv"],
+    "tabulate laguerre-max": ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
+                              "--table-cache-dir", "{cache}"],
+    "tabulate airy1-sum": ["tabulate", "airy1-sum", "--nsamples", "50", "--table-cache-dir", "{cache}"],
+    "tabulate brownian-coint": ["tabulate", "brownian-coint", "--k", "2", "--nsamples", "50",
+                                "--table-cache-dir", "{cache}"],
+}
+UNREAD = {
+    "cca": ["--seed", "--stream", "--table-cache-dir"],
+    "histogram": ["--seed", "--stream", "--no-timestamp", "--table-cache-dir"],
+    "simulate panels": ["--t", "--pi-rank", "--pi-scale", "--pi-corner", "--output", "--no-timestamp",
+                        "--table-cache-dir"],
+    "simulate var1": ["--m", "--s", "--rho2", "--output-u", "--output-v", "--no-timestamp", "--table-cache-dir"],
+    "tabulate laguerre-max": ["--r", "--sim-size"],
+    "tabulate airy1-sum": ["--k", "--m"],
+    "tabulate brownian-coint": ["--m", "--sim-size"],
+}
+UNREAD_VALUES = {
+    "--no-timestamp": [], "--pi-corner": [], "--table-cache-dir": ["{cache}"], "--output": ["{out}/x"],
+    "--output-u": ["{out}/u2.csv"], "--output-v": ["{out}/v2.csv"], "--rho2": ["0.5"], "--pi-scale": ["-1"],
+}
+UNREAD_CASES = [
+    *((command, [option, *UNREAD_VALUES.get(option, ["2"])], "InputFormatError")
+      for command, options in UNREAD.items() for option in options),
+    ("histogram", ["--coint-tau", "3"], "HdccaError"),  # a ratio pair and --coint-tau together
+]
+
+
 class TestBadInput:
     """Each bad input exits 2 with one line of hdcca.error/1 JSON on stderr."""
 
@@ -507,17 +561,17 @@ class TestBadInput:
             (["simulate", "var1", "--k", "2", "--t", "10", "--stream", "-1"], "ParameterRange"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "20", "--rho2", "x"], "InputFormatError"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "20", "--rho2", "1.5"], "ParameterRange"),
-            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "0"],
+            (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "0"],
              "InvalidParams"),
-            (["tabulate", "--statistic", "airy1-sum", "--nsamples", "0"], "InvalidParams"),
-            (["tabulate", "--statistic", "brownian-coint", "--k", "2", "--nsamples", "0"], "InvalidParams"),
-            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "-1"],
+            (["tabulate", "airy1-sum", "--nsamples", "0"], "InvalidParams"),
+            (["tabulate", "brownian-coint", "--k", "2", "--nsamples", "0"], "InvalidParams"),
+            (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "-1"],
              "InvalidParams"),
-            (["tabulate", "--statistic", "airy1-sum", "--nsamples", "-1"], "InvalidParams"),
-            (["tabulate", "--statistic", "brownian-coint", "--k", "2", "--nsamples", "-1"], "InvalidParams"),
+            (["tabulate", "airy1-sum", "--nsamples", "-1"], "InvalidParams"),
+            (["tabulate", "brownian-coint", "--k", "2", "--nsamples", "-1"], "InvalidParams"),
             (["independence", "--regime", "small", "--nsamples", "-1"], "InvalidParams"),
             (["simulate", "var1", "--k", "2", "--t", "5", "--seed", "x"], "InputFormatError"),
-            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "x"],
+            (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "x"],
              "InputFormatError"),
             (["independence"], "InputFormatError"),
             (["independence", "--regime", "small", "--alpha", "1.5"], "InvalidParams"),
@@ -525,9 +579,9 @@ class TestBadInput:
             (["cca", "--output", "{dir}"], "IsADirectoryError"),
             (["simulate", "var1", "--k", "2", "--t", "5", "--output", "{dir}"], "IsADirectoryError"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--output", "{dir}"], "IsADirectoryError"),
-            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
+            (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
               "--output", "{file}/t.json"], "FileExistsError"),
-            (["tabulate", "--statistic", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
+            (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
               "--table-cache-dir", "{file}"], "FileExistsError"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "-5"], "DimensionMismatch"),
             (["simulate", "var1", "--k", "-1", "--t", "10", "--pi-corner"], "DimensionMismatch"),
@@ -549,8 +603,8 @@ class TestBadInput:
         (tmp_path / "file").write_text("")
         argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in argv]
         if argv[0] == "simulate":
-            outputs = [f"--output{s}" for s in ("", "-u", "-v") if f"--output{s}" not in argv]
-            argv = [*argv, *(f"{o}={tmp_path / o.lstrip('-')}" for o in outputs)]
+            outputs = ["--output"] if argv[1] == "var1" else ["--output-u", "--output-v"]
+            argv = [*argv, *(f"{o}={tmp_path / o.lstrip('-')}" for o in outputs if o not in argv)]
         if argv[0] in ("independence", "cca"):
             u, v = small_panels(tmp_path)
             argv = [*argv, "--u", str(u), "--v", str(v)]
@@ -617,6 +671,33 @@ class TestBadInput:
         err = error_of(capsys)
         assert err["error"] == "InputFormatError"
         assert "unrecognized arguments: --n-grid 100" in err["message"]
+
+    def test_statistic_option_is_gone(self, tmp_path, capsys):
+        # the statistic is the positional kind, as in simulate <kind>
+        assert run_cli(["tabulate", "--statistic", "airy1-sum", "--nsamples", "100"], tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InputFormatError"
+        assert "unrecognized arguments: --statistic" in err["message"]
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, error", UNREAD_CASES, ids=[f"{c.replace(' ', '-')}{e[0]}" for c, e, _ in UNREAD_CASES]
+    )
+    def test_unread_option_is_refused(self, tmp_path, capsys, command, extra, error):
+        # an option the command does not read exits 2 before any work; without it the call succeeds
+        u, v = small_panels(tmp_path)
+        spec, out, cache = tmp_path / "spec.json", tmp_path / "out", tmp_path / "store"
+        save_spectrum_json(spec, Spectrum(np.array([0.5, 0.2])))
+        out.mkdir()
+        fill = {"u": u, "v": v, "spec": spec, "out": out, "cache": cache}
+        base, extra = ([a.format(**fill) for a in argv] for argv in (UNREAD_BASE[command], extra))
+        assert main([*base, *extra]) == 2
+        err = error_of(capsys)
+        assert err["error"] == error
+        assert extra[0] in err["message"]
+        assert not any(out.iterdir()) and not cache.exists()
+        assert main(base) == 0
+        assert any(out.iterdir()) or any(cache.iterdir())
 
     @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])
     def test_help_still_exits_zero(self, capsys, argv):
@@ -719,3 +800,14 @@ class TestBadInput:
         )
         assert code == 2
         assert error_of(capsys)["error"] == "TableMismatch"
+
+
+def test_readme_command_lines_parse():
+    # every hdcca line in README's fenced blocks is a call the parser accepts
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```\w*\n(.*?)^```", readme, re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("hdcca ")]
+    calls = [shlex.split(line, comments=True) for line in lines]
+    assert len(calls) >= 9
+    for argv in calls:
+        build_parser().parse_args(argv[1:])

@@ -14,6 +14,7 @@ from hdcca.cointegration import (
     coint_lambda_pm,
     coint_test_large,
     coint_test_small,
+    detrended_law,
     jacobi_coupling_check,
     johansen_lambdas,
     make_pi_rank_r,
@@ -33,7 +34,7 @@ from hdcca.errors import (
     UnitCorrelation,
 )
 from hdcca.hyptest import STATISTIC_BROWNIAN_COINT
-from hdcca.wachter import Spectrum, support_endpoints
+from hdcca.wachter import Spectrum, support, support_endpoints
 from oracles import euler_brownian_null
 
 
@@ -311,6 +312,10 @@ class TestCointLambdaPm:
     def test_ratio_floor(self):
         with pytest.raises(InvalidParams):
             coint_lambda_pm(2.0)
+
+    @pytest.mark.parametrize("tau", [2.2, 10.0, 80.0])
+    def test_detrended_law_has_the_closed_form_support(self, tau):
+        assert support(detrended_law(tau)) == pytest.approx(coint_lambda_pm(tau), abs=1e-12)
 
 
 class TestCointLarge:

@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 
 from hdcca import ensembles
 from hdcca.cca_core import DataPanel, sample_cca
+from hdcca.cointegration import simulate_brownian_null
 from hdcca.ensembles import (
     DS_TEST_FUNCTIONS,
     JacobiParams,
@@ -77,6 +78,18 @@ class TestWishart:
     def test_width_below_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             laguerre_spectra(3, 2, 1, Seed(0))
+
+
+@pytest.mark.parametrize("K", [-1, 0])
+@pytest.mark.parametrize(
+    "sample",
+    [lambda K: laguerre_spectra(K, 3, 5, Seed(1)), lambda K: simulate_brownian_null(K, 5, Seed(1))],
+    ids=["laguerre", "brownian"],
+)
+def test_block_loop_needs_a_positive_dimension(sample, K):
+    # the one block loop behind the samplers checks K, so none returns an empty (5, 0) array
+    with pytest.raises(DimensionMismatch, match=f"need K >= 1, got K={K}"):
+        sample(K)
 
 
 class TestManova:
