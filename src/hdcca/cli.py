@@ -158,10 +158,10 @@ def cmd_cca(args) -> int:
     dims = {"K": U.rows, "M": V.rows, "S": U.cols}
     doc = {
         "schema": CCA_SCHEMA,
-        "correlations_sq": [float(c) for c in system.correlations_sq],
-        "alphas": [[float(x) for x in row] for row in system.alphas],
-        "betas": [[float(x) for x in row] for row in system.betas],
-        "clustered": [bool(b) for b in system.clustered],
+        "correlations_sq": system.correlations_sq.tolist(),
+        "alphas": system.alphas.tolist(),
+        "betas": system.betas.tolist(),
+        "clustered": system.clustered.tolist(),
         "provenance": {**dims, "u_path": Path(args.u).name, "v_path": Path(args.v).name},
         "spectrum": dataio.spectrum_doc(Spectrum(system.correlations_sq, dims)),
     }
@@ -235,10 +235,14 @@ def cmd_tabulate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors raise InputFormatError, reported by ``main`` as one-line JSON.
+    """Parser whose usage errors raise InputFormatError, reported by ``main`` as one-line JSON,
+    and which takes no abbreviated option (``--out`` for ``--output``).
 
     Subcommand parsers are built from the parent's class, so this covers them too.
     """
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise InputFormatError(f"{self.prog}: {message}")

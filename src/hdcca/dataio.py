@@ -14,7 +14,8 @@ Histogram CSV: header ``bin_center,empirical_density,wachter_density``,
 then one row per equal-width bin over [0, 1]; fields are Python float
 reprs, so reruns are byte-identical.
 
-Data rows must be as wide as the first; errors name file, line and column.
+Data rows must be as wide as the first; fields may be double-quoted.  An error
+names file, line and column of the first bad field or row in file order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,28 +49,37 @@ def _parse_float(field: str, path, lineno: int, col: int) -> float:
 
 
 def _read_matrix(path) -> tuple[list[int], np.ndarray]:
-    """Line numbers and values of the data rows: the header and blank lines are skipped."""
+    """Line numbers and values of the data rows (the header and blank lines skipped): one bulk
+    ``float`` conversion; a bad field or ragged row runs the per-field loop, which raises at the first."""
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputFormatError(f"{path}: cannot read file: {e}") from e
-    rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1) if any(map(str.strip, row))]
+    lines = text.splitlines()
+    # without a quote character csv.reader splits on "," exactly as str.split does
+    split = csv.reader(lines) if '"' in text else (line.split(",") for line in lines)
+    rows = [(n, row) for n, row in enumerate(split, start=1) if any(map(str.strip, row))]
     if len(rows) < 2:
         raise InputFormatError(f"{path}: need a header row plus at least one data row")
-    data = []
-    for lineno, row in rows[1:]:
-        vals = [_parse_float(f, path, lineno, col) for col, f in enumerate(row, start=1)]
-        if data and len(vals) != len(data[0]):
-            raise InputFormatError(f"{path}, line {lineno}: expected {len(data[0])} fields, got {len(vals)}")
-        data.append(vals)
-    return [n for n, _ in rows[1:]], np.asarray(data)
+    linenos, fields = [n for n, _ in rows[1:]], [row for _, row in rows[1:]]
+    width = len(fields[0])
+    try:
+        data = np.fromiter(map(float, chain.from_iterable(fields)), float, width * len(fields))
+    except ValueError:  # a non-numeric field, or fewer fields than the first row promises
+        data = None
+    if data is None or not np.isfinite(data).all() or any(len(row) != width for row in fields):
+        for lineno, row in rows[1:]:  # the error locator: raises at the first fault in file order
+            vals = [_parse_float(f, path, lineno, col) for col, f in enumerate(row, start=1)]
+            if len(vals) != width:
+                raise InputFormatError(f"{path}, line {lineno}: expected {width} fields, got {len(vals)}")
+    return linenos, data.reshape(len(fields), width)
 
 
 def _write_csv(path, header: list, rows) -> None:
+    # csv.writer's bytes: no label or number needs quoting, and a float's str is its repr
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def load_panel_csv(path) -> DataPanel:
@@ -95,13 +106,13 @@ def load_timeseries_csv(path) -> TimeSeriesPanel:
 
 def save_timeseries_csv(path, ts: TimeSeriesPanel) -> None:
     header = ["t", *(f"x_{i}" for i in range(ts.K))]
-    _write_csv(path, header, ([t, *ts.X[:, t].tolist()] for t in range(ts.T + 1)))
+    _write_csv(path, header, ([t, *row.tolist()] for t, row in enumerate(ts.X.T)))
 
 
 def load_spectrum_json(path) -> Spectrum:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise InputFormatError(f"{path}: cannot parse spectrum JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("schema") != SPECTRUM_SCHEMA:
         raise InputFormatError(f"{path}: expected schema {SPECTRUM_SCHEMA!r}")
@@ -113,7 +124,7 @@ def load_spectrum_json(path) -> Spectrum:
 
 def spectrum_doc(spec: Spectrum) -> dict:
     """The spectrum JSON document: :func:`save_spectrum_json` writes it, `hdcca cca` reports embed it."""
-    return {"schema": SPECTRUM_SCHEMA, "values": [float(v) for v in spec.values], "meta": spec.meta}
+    return {"schema": SPECTRUM_SCHEMA, "values": spec.values.tolist(), "meta": spec.meta}
 
 
 def save_spectrum_json(path, spec: Spectrum) -> None:

@@ -149,7 +149,7 @@ class QuantileTable:
     def load(cls, path) -> "QuantileTable":
         try:
             return cls.loads(Path(path).read_text())
-        except (OSError, TableMismatch) as e:
+        except (OSError, UnicodeDecodeError, TableMismatch) as e:
             raise TableMismatch(f"{path}: {e}") from e
 
 

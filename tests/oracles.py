@@ -10,9 +10,13 @@ Gaussian definition instead of the bidiagonal Jacobi model.  The Euler
 Brownian sampler is the law oracle of
 :func:`hdcca.cointegration.simulate_brownian_null`: it integrates each draw
 on a grid instead of summing the Fourier series of the Brownian bridge.
+The ``csv.writer`` writer is the byte oracle of the CSV savers in
+:mod:`hdcca.dataio`, which join reprs by hand.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -210,3 +214,11 @@ def euler_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np.nd
             yield w[:, ::-1]
 
     return _fill_blocks(nsamples, K, 256, seed, blocks)
+
+
+def csv_writer_save(path, header: list, rows) -> None:
+    """Write a header and rows with ``csv.writer``'s default dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

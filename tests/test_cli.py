@@ -801,6 +801,37 @@ class TestBadInput:
         assert code == 2
         assert error_of(capsys)["error"] == "TableMismatch"
 
+    @pytest.mark.parametrize(
+        "command, error, message",
+        [
+            (["cca", "--v", "{good}", "--u"], "InputFormatError", "{bad}: cannot read file"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum"], "InputFormatError",
+             "{bad}: cannot parse spectrum JSON"),
+            (["independence", "--u", "{good}", "--v", "{good}", "--regime", "small", "--table"], "TableMismatch",
+             "{bad}: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["csv", "spectrum", "table"],
+    )
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, command, error, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("a,b,c\n1.0,2.0,4.0\n")
+        bad.write_bytes(b"a,b\n1.0,\xff\n")
+        assert run_cli([*(a.format(good=good) for a in command), str(bad)], tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == error
+        assert message.format(bad=bad) in err["message"]
+
+    @pytest.mark.parametrize("abbreviation", [["--out", "{dir}/r.json"], ["--no-time"]], ids=["out", "no-time"])
+    def test_abbreviated_option_is_refused(self, tmp_path, capsys, abbreviation):
+        # an option is spelled in full, so a prefix of one never parses and a new option cannot change a call
+        u, v = small_panels(tmp_path)
+        abbreviation = [a.format(dir=tmp_path) for a in abbreviation]
+        assert main(["cca", "--u", str(u), "--v", str(v), *abbreviation]) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InputFormatError"
+        assert f"unrecognized arguments: {' '.join(abbreviation)}" in err["message"]
+        assert not (tmp_path / "r.json").exists()
+
 
 def test_readme_command_lines_parse():
     # every hdcca line in README's fenced blocks is a call the parser accepts
