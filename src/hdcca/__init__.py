@@ -15,14 +15,12 @@ from .cca_core import (
     sample_cca,
 )
 from .cointegration import (
-    CouplingReport,
     TimeSeriesPanel,
     VarModel,
     coint_lambda_pm,
     coint_test_large,
     coint_test_small,
     detrended_law,
-    jacobi_coupling_check,
     johansen_lambdas,
     make_pi_rank_r,
     modified_lambdas,
@@ -31,12 +29,7 @@ from .cointegration import (
     tabulate_brownian_coint,
     trace_statistic,
 )
-from .ensembles import (
-    JacobiParams,
-    Seed,
-    ds_residual,
-    jacobi_eigenvalue_logdensity,
-)
+from .ensembles import Seed
 from .hyptest import (
     QuantileTable,
     TestReport,
@@ -50,8 +43,6 @@ from .spike import (
     SpikeReport,
     detection_threshold,
     estimate_signals,
-    limit_equation_residual,
-    master_equation_residual,
     predicted_angles,
     rho2_from_z,
     simulate_spiked_panels,

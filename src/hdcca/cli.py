@@ -5,7 +5,8 @@ Subcommands: ``cca`` (correlations from two CSV panels), ``histogram``
 ``independence`` and ``coint`` (hypothesis tests), ``simulate panels|var1``
 (synthetic data) and ``tabulate laguerre-max|airy1-sum|brownian-coint``
 (quantile tables).  Each command and kind declares exactly the options it
-reads, so the parser, the only option check, rejects any other.
+reads, so the parser rejects any other; a test also refuses a table option
+that the table it asks for does not read (:class:`_Store`).
 
 Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error or a path
 that cannot be read or written (one-line ``hdcca.error/1`` JSON on stderr).
@@ -48,6 +49,11 @@ EXIT_REJECT = 3
 REPORT_SCHEMA = "hdcca.report/1"
 CCA_SCHEMA = "hdcca.cca/1"
 DEFAULT_NSAMPLES = 10_000
+DEFAULT_SIM_SIZE = 100
+# The options a test reads only to find its stored table, each with the value it takes when omitted.
+_STORE_DEFAULTS = {
+    "nsamples": DEFAULT_NSAMPLES, "seed": 0, "stream": 0, "sim_size": DEFAULT_SIM_SIZE, "table_cache_dir": None,
+}
 
 
 def _seed(args) -> Seed:
@@ -124,16 +130,29 @@ def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
 @dataclasses.dataclass(frozen=True)
 class _Store:
     """Where a test, once its input has passed, asks for its table: the ``--table``
-    file, else the stored table, whose identity adds ``--sim-size`` to an Airy_1 table's."""
+    file, else the stored table, whose identity adds ``--sim-size`` to an Airy_1 table's.
+
+    A store option given (not None) that the table does not read is InputFormatError, before
+    any table is read or built: each of them next to ``--table``, ``--sim-size`` for any other
+    table.  An omitted one takes its value from ``_STORE_DEFAULTS``.
+    """
 
     args: argparse.Namespace
 
     def require(self, statistic_id: str, **params) -> QuantileTable:
-        if self.args.table:
-            return QuantileTable.load(self.args.table).require(statistic_id, **params)
-        if statistic_id == STATISTIC_AIRY1_SUM:
-            params["sim_size"] = self.args.sim_size
-        return _table(self.args, statistic_id, params)[0]
+        args, airy = self.args, statistic_id == STATISTIC_AIRY1_SUM
+        unread = [f"--{name.replace('_', '-')}" for name in _STORE_DEFAULTS
+                  if getattr(args, name) is not None and (args.table or (name == "sim_size" and not airy))]
+        if unread:
+            call = f"{args.command} --regime {args.regime}" + (" --table" if args.table else "")
+            raise InputFormatError(f"{call} does not read {', '.join(unread)}")
+        if args.table:
+            return QuantileTable.load(args.table).require(statistic_id, **params)
+        given = vars(args)
+        args = argparse.Namespace(**{**given, **{k: d for k, d in _STORE_DEFAULTS.items() if given[k] is None}})
+        if airy:
+            params["sim_size"] = args.sim_size
+        return _table(args, statistic_id, params)[0]
 
 
 def _emit_report(args, report) -> int:
@@ -269,8 +288,9 @@ def _add_test_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
     p.add_argument("--regime", choices=("small", "large"), required=True)
     p.add_argument("--table", help="quantile table JSON (tabulated on demand if omitted)")
-    p.add_argument("--sim-size", type=int, default=100, help="internal spectrum size for edge tabulation")
+    p.add_argument("--sim-size", type=int, help=f"spectrum size of an Airy_1 table (default {DEFAULT_SIM_SIZE})")
     _add_store(p)
+    p.set_defaults(seed=None, stream=None, nsamples=None)  # None marks an option not given (see _Store)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "K": ("--k", dict(type=int, required=True, help="panel dimension")),
         "M": ("--m", dict(type=int, required=True, help="second dimension")),
         "r": ("--r", dict(type=int, default=1, help="number of top coordinates summed")),
-        "sim_size": ("--sim-size", dict(type=int, default=100, help="internal spectrum size")),
+        "sim_size": ("--sim-size", dict(type=int, default=DEFAULT_SIM_SIZE, help="internal spectrum size")),
     }
     identities = {"laguerre-max": ("K", "M"), "airy1-sum": ("r", "sim_size"), "brownian-coint": ("K", "r")}
     for kind, identity in identities.items():

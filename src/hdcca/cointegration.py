@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cca_core import DataPanel, sample_spectrum
-from .ensembles import Seed, _fill_blocks, manova_spectra
+from .ensembles import Seed, _fill_blocks
 from .errors import (
     DimensionMismatch,
     InvalidParams,
@@ -319,70 +319,4 @@ def coint_test_large(
     return TestReport(
         statistic, threshold, alpha, statistic > threshold, "large_dim",
         {"K": K, "T": T, "r": r, "c1": c1, "c2": c2, "tau": tau},
-    )
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    """Comparison of the null modified top correlation against the matched
-    Jacobi ensemble top eigenvalue.
-
-    ``ks_distance`` compares the two samples as drawn; ``centered_ks_distance``
-    compares them after each is centred on its own mean, i.e. the shape of
-    the two laws apart from location.  ``edge_unit`` is the bulk-edge
-    fluctuation unit K^(-2/3) c_plus^(-2/3) = K^(-2/3) |c2| (1 - lambda_plus)
-    in lambda units, the scale on which the large-K test reads the top
-    value.  The coupling is promised only to o(1): at K = 100, T = 1000 the
-    two laws have the same shape (centred KS 0.008 at 8000 draws a side)
-    but differ by a centring offset of about 0.0023, 0.3 edge units, which
-    alone puts the population ``ks_distance`` near 0.10; the offset shrinks
-    as K grows at fixed T/K.
-    """
-
-    ks_distance: float
-    centered_ks_distance: float
-    mean_lambda1: float
-    mean_x1: float
-    lambda_plus: float
-    edge_unit: float
-    nsamples: int
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
-    allv = np.concatenate([a, b])
-    allv.sort(kind="mergesort")
-    fa = np.searchsorted(np.sort(a), allv, side="right") / len(a)
-    fb = np.searchsorted(np.sort(b), allv, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
-
-
-def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> CouplingReport:
-    """Null modified top correlation versus the matched Jacobi top eigenvalue.
-
-    The matched ensemble has exponent pair (K/2, (T - 2K)/2), realized
-    here as a MANOVA matrix with panel widths (2K - 1, T - K - 1).  The
-    two laws agree to o(1); the report carries their two-sample
-    Kolmogorov distance raw and after centring, their means, the bulk
-    edge and the edge fluctuation unit, so the finite-size location
-    offset can be read on the scale of the edge law (see CouplingReport).
-    """
-    _, hi, _, _ = _large_k_constants(K, T)
-    model = VarModel.pure_random_walk(K)
-    lam1 = np.empty(nsamples)
-    for rep in range(nsamples):
-        X = _simulate_var1_rng(model, T, seed.block_generator(rep))
-        lam1[rep] = modified_lambdas(X).values[0]
-    jacobi_seed = Seed(seed.value, seed.stream + 1)
-    x1 = manova_spectra(K, 2 * K - 1, T - K - 1, nsamples, jacobi_seed, top=1)[:, -1]
-    mean_lambda1, mean_x1 = float(np.mean(lam1)), float(np.mean(x1))
-    return CouplingReport(
-        ks_distance=_two_sample_ks(lam1, x1),
-        centered_ks_distance=_two_sample_ks(lam1 - mean_lambda1, x1 - mean_x1),
-        mean_lambda1=mean_lambda1,
-        mean_x1=mean_x1,
-        lambda_plus=hi,
-        edge_unit=1.0 / edge_scale(detrended_law(T / K), K),
-        nsamples=nsamples,
-        diagnostics={"K": K, "T": T},
     )

@@ -11,8 +11,10 @@ Spectrum JSON: ``{"schema": "hdcca.spectrum/1", "values": [...],
 "meta": {...}}`` with values sorted descending in [0, 1].
 
 Histogram CSV: header ``bin_center,empirical_density,wachter_density``,
-then one row per equal-width bin over [0, 1]; fields are Python float
-reprs, so reruns are byte-identical.
+then one row per equal-width bin over [0, 1].
+
+Every CSV written here has Python float repr fields, so reruns are
+byte-identical, and CRLF line ends (:func:`_csv_lines`).
 
 Data rows must be as wide as the first; fields may be double-quoted.  An error
 names file, line and column of the first bad field or row in file order.
@@ -75,11 +77,15 @@ def _read_matrix(path) -> tuple[list[int], np.ndarray]:
     return linenos, data.reshape(len(fields), width)
 
 
+def _csv_lines(header, rows):
+    """csv.writer's lines: no label or number needs quoting, and a float's str is its repr."""
+    yield ",".join(header) + "\r\n"
+    yield from (",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
 def _write_csv(path, header: list, rows) -> None:
-    # csv.writer's bytes: no label or number needs quoting, and a float's str is its repr
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(_csv_lines(header, rows))
 
 
 def load_panel_csv(path) -> DataPanel:
@@ -138,6 +144,5 @@ def histogram_csv(values, params: WachterParams, bins: int) -> str:
     density = counts / (len(values) * (edges[1] - edges[0]))
     centers = 0.5 * (edges[:-1] + edges[1:])
     overlay = np.asarray(pdf(centers, params))
-    rows = [("bin_center", "empirical_density", "wachter_density")]
-    rows += [(repr(float(c)), repr(float(d)), repr(float(o))) for c, d, o in zip(centers, density, overlay)]
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    rows = zip(centers.tolist(), density.tolist(), overlay.tolist())
+    return "".join(_csv_lines(("bin_center", "empirical_density", "wachter_density"), rows))

@@ -1,11 +1,10 @@
 """Seedable samplers for the classical random-matrix ensembles.
 
 Batched spectra of Wishart (Laguerre) and MANOVA/Jacobi matrices, one sampler per ensemble, which
-also give the Laguerre small-dimension scaling limit; the exact Jacobi eigenvalue log-density; and
-a Monte Carlo validator for the loop (Dyson-Schwinger) equation of the Jacobi eigenvalue ensemble.
-Wishart spectra come from Gaussian panels.  MANOVA/Jacobi spectra come from Beta variates through
-the bidiagonal Jacobi matrix model: dense ``eigvalsh`` of its tridiagonal for the whole spectrum,
-or, for the top few eigenvalues only, Sturm-count bisection guarded against 0/0 pivots.
+also give the Laguerre small-dimension scaling limit.  Wishart spectra come from Gaussian panels.
+MANOVA/Jacobi spectra come from Beta variates through the bidiagonal Jacobi matrix model: dense
+``eigvalsh`` of its tridiagonal for the whole spectrum, or, for the top few eigenvalues only,
+Sturm-count bisection guarded against 0/0 pivots.
 
 Randomness is derived from an explicit :class:`Seed`.  A fixed
 ``(value, stream)`` pair reproduces output bit-for-bit on one build: the
@@ -20,12 +19,11 @@ stay deterministic under any schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, OutOfSimplex, ParameterRange
+from .errors import DimensionMismatch, InvalidParams, ParameterRange
 
 _U64 = 2**64
 
@@ -53,21 +51,6 @@ class Seed:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.value, spawn_key=(self.stream, index))
         )
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Size and exponents (N; p, q) of the Jacobi eigenvalue ensemble."""
-
-    N: int
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ParameterRange(f"N must be >= 1, got {self.N}")
-        if not (self.p > 0 and self.q > 0):
-            raise ParameterRange(f"p, q must be > 0, got p={self.p}, q={self.q}")
 
 
 def _auto_block(K: int, width: int) -> int:
@@ -181,88 +164,3 @@ def laguerre_spectra(K: int, M: int, n: int, seed: Seed) -> np.ndarray:
             yield np.linalg.eigvalsh(Z @ np.swapaxes(Z, -1, -2))
 
     return _fill_blocks(n, K, _auto_block(K, M), seed, blocks)
-
-
-def jacobi_eigenvalue_logdensity(x: np.ndarray, params: JacobiParams) -> float:
-    """Log-density of the Jacobi eigenvalue ensemble at the ordered tuple x.
-
-    Includes the full Selberg normalization, so at N=1 this is the exact
-    Beta(p, q) log-density.  Requires 1 > x_1 > ... > x_N > 0 strictly.
-    """
-    x = np.asarray(x, dtype=float)
-    N, p, q = params.N, params.p, params.q
-    if x.shape != (N,):
-        raise OutOfSimplex(f"expected {N} coordinates, got shape {x.shape}")
-    if not (np.all(x > 0.0) and np.all(x < 1.0)):
-        raise OutOfSimplex("coordinates must lie strictly inside (0, 1)")
-    if N > 1 and not np.all(np.diff(x) < 0.0):
-        raise OutOfSimplex("coordinates must be strictly decreasing")
-
-    log_norm = lgamma(N + 1)
-    for k in range(N):
-        log_norm += (
-            lgamma(p + q + (N + k - 1) / 2.0)
-            + lgamma(1.5)
-            - lgamma(p + k / 2.0)
-            - lgamma(q + k / 2.0)
-            - lgamma(1.0 + (k + 1) / 2.0)
-        )
-
-    interaction = 0.0
-    if N > 1:
-        diffs = x[:, None] - x[None, :]
-        interaction = float(np.sum(np.log(diffs[np.triu_indices(N, k=1)])))
-    weight = float(np.sum((p - 1.0) * np.log(x) + (q - 1.0) * np.log1p(-x)))
-    return log_norm + interaction + weight
-
-
-# Fixed, enumerable test-function family for the loop-equation residual:
-# ids map to (f, f') pairs, each vectorized over numpy arrays.
-DS_TEST_FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
-    "const": (lambda x: np.ones_like(x), lambda x: np.zeros_like(x)),
-    "x": (lambda x: x, lambda x: np.ones_like(x)),
-    "x2": (lambda x: x**2, lambda x: 2.0 * x),
-    "x3": (lambda x: x**3, lambda x: 3.0 * x**2),
-    "x4": (lambda x: x**4, lambda x: 4.0 * x**3),
-    # resolvent at the fixed real point z = 2 (> 1, off the spectrum)
-    "inv2": (lambda x: 1.0 / (2.0 - x), lambda x: 1.0 / (2.0 - x) ** 2),
-}
-
-
-def ds_residual(params: JacobiParams, nsamples: int, seed: Seed) -> dict[str, tuple[float, float]]:
-    """Monte Carlo residual of the Jacobi loop equation for every test function.
-
-    Returns {f: (estimate, stderr)} over DS_TEST_FUNCTIONS for LHS - RHS of the identity
-
-        E[ mu[f(x)((p-1)/(Kx) + (q-1)/(K(x-1)))]
-           + (1/2) (mu x mu)[(f(x)-f(y))/(x-y)] ]  =  -(1/2K) E[ mu[f'] ],
-
-    with mu the empirical measure of a J(K; p, q) spectrum.  Every test
-    function reads the same `nsamples` spectra.  A correct implementation
-    keeps each estimate within a few stderr of zero.  Requires p > 1 and
-    q > 1 (boundary terms invalidate the identity otherwise).
-    """
-    if not (params.p > 1.0 and params.q > 1.0):
-        raise ParameterRange(f"loop equation needs p > 1 and q > 1, got {params}")
-    K = params.N
-    x = manova_spectra(K, 2.0 * params.p + K - 1.0, 2.0 * params.q + K - 1.0, nsamples, seed)  # ascending
-    weight = (params.p - 1.0) / x + (params.q - 1.0) / (x - 1.0)
-    dx = x[:, :, None] - x[:, None, :]
-    off = dx != 0.0
-    idx = np.arange(K)
-    out = {}
-    for f, (func, dfunc) in DS_TEST_FUNCTIONS.items():
-        fx = func(x)
-        dfx = dfunc(x)
-        # potential term: (1/K^2) sum_k f(x_k) ((p-1)/x_k + (q-1)/(x_k - 1))
-        pot = np.sum(fx * weight, axis=1) / K**2
-        # pair term: (1/2K^2) sum_{i,k} (f(x_k) - f(x_i)) / (x_k - x_i), f' on the diagonal;
-        # where x_k = x_i the difference quotient is left at f(x_k) - f(x_i) = 0
-        quot = fx[:, :, None] - fx[:, None, :]
-        np.divide(quot, dx, out=quot, where=off)
-        quot[:, idx, idx] = dfx
-        pair = np.sum(quot, axis=(1, 2)) / (2.0 * K**2)
-        # moving the RHS over: residual sample = LHS + (1/2K) mu[f']
-        res = pot + pair + np.sum(dfx, axis=1) / (2.0 * K**2)
-        out[f] = float(np.mean(res)), float(np.std(res, ddof=1) / np.sqrt(len(res)))
-    return out

@@ -35,10 +35,6 @@ class ClippingError(HdccaError):
 # --- ensemble / density errors ---
 
 
-class OutOfSimplex(HdccaError, ValueError):
-    """Eigenvalue tuple is not strictly ordered inside (0, 1)."""
-
-
 class ParameterRange(HdccaError, ValueError):
     """Ensemble parameters outside the range where the operation is valid."""
 
@@ -72,10 +68,6 @@ class BelowEdge(HdccaError, ValueError):
 class AboveOne(HdccaError):
     """Inversion implies a squared correlation above 1; data inconsistent
     with the signal-plus-noise model (reported, never silently clipped)."""
-
-
-class PoleHit(HdccaError):
-    """Candidate eigenvalue coincides with a pole of the rank-one equation."""
 
 
 # --- test / table errors ---

@@ -5,9 +5,8 @@ supercritical ones pull sample correlations out of the bulk to a
 predictable outlier location, at a predictable angle to the truth.  This
 module provides the detectability threshold, the forward map from signal
 strength to outlier location, its closed-form inverse, the limiting
-alignment angles, a data-driven estimation pipeline over an observed
-spectrum, and the exact rank-one update equation used as a finite-size
-oracle.
+alignment angles and a data-driven estimation pipeline over an observed
+spectrum.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca_core import DataPanel, sample_cca
+from .cca_core import DataPanel
 from .ensembles import Seed
 from .errors import (
     AboveOne,
@@ -25,10 +24,9 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     ParameterRange,
-    PoleHit,
     Subcritical,
 )
-from .wachter import Spectrum, WachterParams, edge_scale, stieltjes
+from .wachter import Spectrum, WachterParams, edge_scale
 
 DEFAULT_EDGE_BUFFER = 2.0
 
@@ -144,90 +142,6 @@ def estimate_signals(spec: Spectrum, params: WachterParams) -> SpikeReport:
         edge_used=hi,
         threshold_used=threshold,
     )
-
-
-def limit_equation_residual(z: float, rho2: float, params: WachterParams) -> float:
-    """Residual of the asymptotic outlier equation at (z, rho2).
-
-    The equation expresses the signal strength through the Stieltjes
-    transform of the bulk law at the outlier location; it vanishes
-    exactly on pairs related by :func:`z_from_rho2` /
-    :func:`rho2_from_z`.
-    """
-    if not z > params.lambda_plus:
-        raise BelowEdge(f"z = {z} does not exceed the upper edge {params.lambda_plus}")
-    ik, im = 1.0 / params.tau_k, 1.0 / params.tau_m
-    G = stieltjes(complex(z), params).real
-    num1 = 1.0 - 2.0 * ik - (im - ik) / z - (1.0 - z) * ik * G
-    num2 = 1.0 - ik - im - (1.0 - z) * ik * G
-    den = 1.0 - im - z * ik - z * (1.0 - z) * ik * G
-    lhs = z * num1 * num2 / den**2
-    return abs(lhs - rho2)
-
-
-def master_equation_residual(
-    tildeU: DataPanel,
-    tildeV: DataPanel,
-    u_star: np.ndarray,
-    v_star: np.ndarray,
-    z: float,
-) -> float:
-    """Residual of the exact rank-one update equation at a candidate z.
-
-    Given the canonical data of the base pair of subspaces and two
-    appended vectors, every squared canonical correlation z of the
-    augmented pair span(u*, base-U), span(v*, base-V) satisfies a scalar
-    equation built from inner products of u*, v* with the base canonical
-    variables.  Returns |LHS - RHS|; exact augmented triplets give
-    residuals at roundoff level, so the equation discriminates wrong z
-    values sharply.
-
-    Raises ``PoleHit`` when z collides with a base squared correlation
-    whose coupling to u*, v* is not negligible.
-    """
-    if tildeU.cols != tildeV.cols:
-        raise DimensionMismatch("base panels must share the observation count")
-    if tildeU.rows > tildeV.rows:
-        raise DimensionMismatch("base U side must not exceed the base V side dimension")
-    S = tildeU.cols
-    u_star = np.asarray(u_star, dtype=float).reshape(-1)
-    v_star = np.asarray(v_star, dtype=float).reshape(-1)
-    if u_star.shape != (S,) or v_star.shape != (S,):
-        raise DimensionMismatch(f"appended vectors must have length {S}")
-
-    base = sample_cca(tildeU, tildeV)
-    Kt, Mt = tildeU.rows, tildeV.rows
-    u_vars = tildeU.values.T @ base.alphas.T    # S x Kt canonical variables
-    v_vars = tildeV.values.T @ base.betas.T     # S x Mt
-    c = np.zeros(Mt)
-    c[:Kt] = base.correlations
-
-    s = np.zeros(Mt)
-    p = np.zeros(Mt)
-    s[:Kt] = u_vars.T @ u_star
-    p[:Kt] = u_vars.T @ v_star
-    t = v_vars.T @ u_star
-    q = v_vars.T @ v_star
-    w = float(u_star @ v_star)
-    nu = float(u_star @ u_star)
-    nv = float(v_star @ v_star)
-
-    den = z - c**2
-    num = np.stack([t * (c * p - z * q), s * (p - c * q),  # cross bracket: j-sum, i-sum
-                    t**2 - 2.0 * c * t * s, s**2,          # u-side bracket: first, z-weighted sum
-                    p**2 - 2.0 * c * p * q, q**2])         # v-side bracket: first, z-weighted sum
-    bad = np.abs(den) < 1e-12
-    if np.any(bad):
-        if np.max(np.abs(num[:, bad])) > 1e-10 * (1.0 + nu) * (1.0 + nv) * (1.0 + abs(z)):
-            raise PoleHit(
-                f"z = {z} coincides with a base squared correlation within 1e-12"
-            )
-        num, den = num[:, ~bad], den[~bad]
-    cross_v, cross_u, bu, bu2, bv, bv2 = np.sum(num / den, axis=1)
-    cross = w + cross_v - z * cross_u
-    bracket_u = -nu + bu + z * bu2
-    bracket_v = -nv + bv + z * bv2
-    return float(abs(cross**2 - z * bracket_u * bracket_v))
 
 
 def simulate_spiked_panels(

@@ -20,26 +20,14 @@ from hdcca.cointegration import (
     coint_lambda_pm,
     coint_test_large,
     coint_test_small,
-    jacobi_coupling_check,
     johansen_lambdas,
     modified_lambdas,
     simulate_brownian_null,
     simulate_var1,
 )
-from hdcca.ensembles import (
-    DS_TEST_FUNCTIONS,
-    JacobiParams,
-    Seed,
-    ds_residual,
-    manova_spectra,
-)
+from hdcca.ensembles import Seed, manova_spectra
 from hdcca.hyptest import independence_test_large, independence_test_small
-from hdcca.spike import (
-    master_equation_residual,
-    predicted_angles,
-    simulate_spiked_panels,
-    z_from_rho2,
-)
+from hdcca.spike import predicted_angles, simulate_spiked_panels, z_from_rho2
 from hdcca.wachter import (
     Spectrum,
     WachterParams,
@@ -49,6 +37,7 @@ from hdcca.wachter import (
     support,
     support_endpoints,
 )
+from oracles import DS_TEST_FUNCTIONS, JacobiParams, ds_residual, jacobi_coupling_check, master_equation_residual
 
 pytestmark = pytest.mark.acceptance
 

@@ -32,7 +32,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, tmp_path):
-    if args[0] in ("independence", "coint", "tabulate"):  # the commands that read the table store
+    # the commands that read the table store; a test given --table reads no store
+    if args[0] in ("independence", "coint", "tabulate") and "--table" not in args:
         args = [*args, "--table-cache-dir", str(tmp_path / "cache")]
     return main(args)
 
@@ -438,6 +439,28 @@ class TestTableStore:
         assert path.name == "airy1_sum-f4064e9e8d8cf54078e56a4d.json"
         assert path.read_bytes() == (DATA / path.name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "tabulate, test",
+        [
+            (["laguerre-max", "--k", "2", "--m", "3"],
+             ["independence", "--u", "{u}", "--v", "{v}", "--regime", "small"]),
+            (["brownian-coint", "--k", "2"], ["coint", "--input", "{ts}", "--regime", "small"]),
+            (["airy1-sum", "--nsamples", "100"],
+             ["coint", "--input", "{ts}", "--regime", "large", "--nsamples", "100"]),
+        ],
+        ids=["laguerre-max", "brownian-coint", "airy1-sum"],
+    )
+    def test_omitted_options_name_the_table_tabulate_stores(self, tmp_path, capsys, tabulate, test):
+        # a test given no --nsamples, --seed, --stream or --sim-size reads the table of tabulate's
+        # defaults (10,000 draws, seed 0/0, sim_size 100) and builds no other
+        u, v = small_panels(tmp_path)
+        ts = tmp_path / "ts.csv"
+        assert run_cli(["simulate", "var1", "--k", "2", "--t", "50", "--output", str(ts)], tmp_path) == 0
+        assert run_cli(["tabulate", *tabulate], tmp_path) == 0
+        stored = Path(capsys.readouterr().out.strip())
+        assert run_cli([a.format(u=u, v=v, ts=ts) for a in test], tmp_path) in (0, 3)
+        assert list((tmp_path / "cache").iterdir()) == [stored]
+
     def test_tabulate_prewarms_the_independence_table(self, tmp_path, capsys, monkeypatch):
         assert run_cli(self.TABULATE_23, tmp_path) == 0
         table = QuantileTable.load(capsys.readouterr().out.strip())
@@ -548,6 +571,22 @@ UNREAD_CASES = [
     *((command, [option, *UNREAD_VALUES.get(option, ["2"])], "InputFormatError")
       for command, options in UNREAD.items() for option in options),
     ("histogram", ["--coint-tau", "3"], "HdccaError"),  # a ratio pair and --coint-tau together
+]
+# A test called so that it succeeds, and the table options its table does not read: --sim-size
+# to a small-regime table, and every store option next to --table.
+TABLE_UNREAD_BASE = {
+    "independence": ["independence", "--u", "{u}", "--v", "{v}", "--regime", "small", "--nsamples", "50",
+                     "--table-cache-dir", "{cache}", "--output", "{out}/r.json"],
+    "coint": ["coint", "--input", "{ts}", "--regime", "small", "--nsamples", "50", "--table-cache-dir", "{cache}",
+              "--output", "{out}/r.json"],
+    "independence --table": ["independence", "--u", "{u}", "--v", "{v}", "--regime", "small", "--table", "{table}",
+                             "--output", "{out}/r.json"],
+}
+TABLE_UNREAD_CASES = [
+    ("independence", ["--sim-size", "7"]),
+    ("coint", ["--sim-size", "7"]),
+    *(("independence --table", option) for option in (["--nsamples", "50"], ["--seed", "1"], ["--stream", "1"],
+                                                       ["--sim-size", "7"], ["--table-cache-dir", "{cache}"])),
 ]
 
 
@@ -698,6 +737,28 @@ class TestBadInput:
         assert not any(out.iterdir()) and not cache.exists()
         assert main(base) == 0
         assert any(out.iterdir()) or any(cache.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, extra", TABLE_UNREAD_CASES, ids=[f"{c.replace(' ', '')}{e[0]}" for c, e in TABLE_UNREAD_CASES]
+    )
+    def test_table_option_the_table_does_not_read_is_refused(self, tmp_path, capsys, command, extra):
+        # the option exits 2 naming itself, and no table is read, built or stored; without it the call succeeds
+        u, v = small_panels(tmp_path)
+        ts, table, out, cache = tmp_path / "ts.csv", tmp_path / "table.json", tmp_path / "out", tmp_path / "cache"
+        assert main(["simulate", "var1", "--k", "2", "--t", "50", "--output", str(ts)]) == 0
+        tabulate = ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50", "--output", str(table)]
+        assert main(tabulate) == 0
+        out.mkdir()
+        cache.mkdir()
+        fill = {"u": u, "v": v, "ts": ts, "table": table, "out": out, "cache": cache}
+        base, extra = ([a.format(**fill) for a in argv] for argv in (TABLE_UNREAD_BASE[command], extra))
+        assert main([*base, *extra]) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InputFormatError"
+        assert f"does not read {extra[0]}" in err["message"]
+        assert not any(out.iterdir()) and not any(cache.iterdir())
+        assert main(base) in (0, 3)
+        assert (out / "r.json").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])
     def test_help_still_exits_zero(self, capsys, argv):

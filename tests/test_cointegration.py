@@ -15,7 +15,6 @@ from hdcca.cointegration import (
     coint_test_large,
     coint_test_small,
     detrended_law,
-    jacobi_coupling_check,
     johansen_lambdas,
     make_pi_rank_r,
     modified_lambdas,
@@ -35,7 +34,7 @@ from hdcca.errors import (
 )
 from hdcca.hyptest import STATISTIC_BROWNIAN_COINT
 from hdcca.wachter import Spectrum, support, support_endpoints
-from oracles import euler_brownian_null
+from oracles import euler_brownian_null, jacobi_coupling_check
 
 
 class TestTimeSeriesPanel:

@@ -1,6 +1,6 @@
-"""The CSV codec of hdcca.dataio: the savers write csv.writer's bytes, and the
-reader gives one array, one set of line numbers and one error message per
-input, whichever tokenizer reads it."""
+"""The CSV codec of hdcca.dataio: the savers and the histogram write csv.writer's
+bytes, CRLF line ends included, and the reader gives one array, one set of
+line numbers and one error message per input, whichever tokenizer reads it."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,16 @@ from hypothesis.extra import numpy as hnp
 from hdcca.cca_core import DataPanel
 from hdcca.cli import main
 from hdcca.cointegration import TimeSeriesPanel
-from hdcca.dataio import _read_matrix, load_panel_csv, load_timeseries_csv, save_panel_csv, save_timeseries_csv
+from hdcca.dataio import (
+    _read_matrix,
+    histogram_csv,
+    load_panel_csv,
+    load_timeseries_csv,
+    save_panel_csv,
+    save_timeseries_csv,
+)
 from hdcca.errors import InputFormatError
+from hdcca.wachter import WachterParams
 from oracles import csv_writer_save
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
@@ -67,6 +75,21 @@ class TestWriterBytes:
         assert u.read_bytes() == oracle_panel_bytes(tmp_path / "oracle.csv", U)
         assert v.read_bytes() == oracle_panel_bytes(tmp_path / "oracle.csv", V)
         assert ts.read_bytes() == oracle_series_bytes(tmp_path / "oracle.csv", X)
+
+    def test_histogram_matches_csv_writer(self, tmp_path, rng):
+        text = histogram_csv(rng.beta(2.0, 5.0, size=300), WachterParams(5.0, 10.0 / 3.0), 17)
+        header, *rows = (line.split(",") for line in text.splitlines())
+        csv_writer_save(tmp_path / "oracle.csv", header, ([float(f) for f in row] for row in rows))
+        assert text.encode() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_every_csv_kind_ends_each_line_with_crlf(self, tmp_path, rng):
+        save_panel_csv(tmp_path / "p.csv", DataPanel(rng.standard_normal((2, 3))))
+        save_timeseries_csv(tmp_path / "ts.csv", TimeSeriesPanel(rng.standard_normal((2, 4))))
+        (tmp_path / "h.csv").write_bytes(histogram_csv(rng.uniform(size=20), WachterParams(5.0, 3.0), 6).encode())
+        for name, rows in (("p.csv", 2), ("ts.csv", 4), ("h.csv", 6)):
+            *lines, last = (tmp_path / name).read_bytes().split(b"\r\n")
+            assert last == b"" and len(lines) == 1 + rows
+            assert not any(b"\r" in line or b"\n" in line for line in lines)
 
     @settings(max_examples=60, deadline=None)
     @given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5), elements=FINITE))

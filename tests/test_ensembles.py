@@ -6,21 +6,21 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import oracles
 from hdcca import ensembles
 from hdcca.cca_core import DataPanel, sample_cca
 from hdcca.cointegration import simulate_brownian_null
-from hdcca.ensembles import (
+from hdcca.ensembles import Seed, laguerre_spectra, manova_spectra
+from hdcca.errors import DimensionMismatch, InvalidParams, ParameterRange
+from hdcca.wachter import WachterParams, pdf, support
+from oracles import (
     DS_TEST_FUNCTIONS,
     JacobiParams,
-    Seed,
+    OutOfSimplex,
+    dense_manova_spectra,
     ds_residual,
     jacobi_eigenvalue_logdensity,
-    laguerre_spectra,
-    manova_spectra,
 )
-from hdcca.errors import DimensionMismatch, InvalidParams, OutOfSimplex, ParameterRange
-from hdcca.wachter import WachterParams, pdf, support
-from oracles import dense_manova_spectra
 
 
 def sample_gaussian_panel(K: int, S: int, seed: Seed) -> DataPanel:
@@ -277,7 +277,7 @@ class TestDsResidual:
             draws.append(args)
             return manova_spectra(*args, **kwargs)
 
-        monkeypatch.setattr(ensembles, "manova_spectra", counting)
+        monkeypatch.setattr(oracles, "manova_spectra", counting)
         params = JacobiParams(4, 2.0, 3.0)
         first = ds_residual(params, 500, Seed(3))
         assert list(first) == list(DS_TEST_FUNCTIONS)

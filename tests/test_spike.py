@@ -4,18 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from hdcca.cca_core import DataPanel, alignment_angle, sample_cca
 from hdcca.ensembles import Seed
-from hdcca.errors import AboveOne, BelowEdge, ParameterRange, PoleHit, Subcritical
+from hdcca.errors import AboveOne, BelowEdge, ParameterRange, Subcritical
 from hdcca.spike import (
     detection_threshold,
     estimate_signals,
-    limit_equation_residual,
-    master_equation_residual,
     predicted_angles,
     rho2_from_z,
     simulate_spiked_panels,
     z_from_rho2,
 )
 from hdcca.wachter import Spectrum, WachterParams, ks_distance
+from oracles import PoleHit, limit_equation_residual, master_equation_residual
 
 P8 = WachterParams(8.0, 16.0 / 3.0)
 
