@@ -71,6 +71,8 @@ class VarModel:
             raise DimensionMismatch(
                 f"inconsistent shapes: pi {pi.shape}, lam {lam.shape}, x0 {x0.shape}"
             )
+        if not (np.isfinite(pi).all() and np.isfinite(lam).all() and np.isfinite(x0).all()):
+            raise InvalidParams("pi, lam and x0 must all be finite")
         if not np.allclose(lam, lam.T, atol=1e-10):
             raise InvalidParams("noise covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(lam)) <= 0.0:
@@ -93,7 +95,7 @@ def _simulate_var1_rng(model: VarModel, T: int, rng: np.random.Generator) -> Tim
     X = np.empty((K, T + 1))
     X[:, 0] = model.x0
     if np.count_nonzero(model.pi) == 0:
-        X[:, 1:] = model.x0[:, None] + np.cumsum(eps, axis=1)
+        X[:, 1:] = model.x0[:, None] + eps.cumsum(axis=1)
     else:
         A = np.eye(K) + model.pi
         for t in range(1, T + 1):
@@ -117,6 +119,8 @@ def make_pi_rank_r(K: int, r: int, scale: float, seed: Seed) -> np.ndarray:
     """
     if not 0 <= r <= K:
         raise DimensionMismatch(f"rank must satisfy 0 <= r <= K, got r={r}, K={K}")
+    if not math.isfinite(scale):
+        raise InvalidParams(f"scale must be finite, got {scale}")
     if r == 0:
         return np.zeros((K, K))
     G = seed.generator().standard_normal((K, r))
@@ -134,8 +138,8 @@ def johansen_lambdas(X: TimeSeriesPanel) -> Spectrum:
 
     Needs 2K <= T, the kernel's K + M <= S.
     """
-    dX = np.diff(X.X, axis=1)
     lag = X.X[:, :-1]
+    dX = X.X[:, 1:] - lag
     return Spectrum(values=sample_spectrum(DataPanel(dX), DataPanel(lag)), meta={"K": X.K, "T": X.T})
 
 
@@ -143,14 +147,14 @@ def _top_log_gaps(spec: Spectrum, r: int) -> np.ndarray:
     """log(1 - lambda_i) for the top r squared correlations, 0 <= r <= len(spec)."""
     if not 0 <= r <= len(spec):
         raise DimensionMismatch(f"rank must satisfy 0 <= r <= {len(spec)}, got {r}")
-    if np.any(spec.values >= 1.0 - 1e-12):
+    if spec.values.max() >= 1.0 - 1e-12:
         raise UnitCorrelation(f"top squared correlation {spec.values[0]} is numerically 1; the statistic diverges")
     return np.log1p(-spec.values[:r])
 
 
 def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
     """Log likelihood ratio (T/2) sum_{i<=r} log(1 - lambda_i); <= 0."""
-    return float(T / 2.0 * np.sum(_top_log_gaps(spec, r)))
+    return float(T / 2.0 * _top_log_gaps(spec, r).sum())
 
 
 _MODES = 32  # Fourier modes of the Brownian bridge kept by simulate_brownian_null

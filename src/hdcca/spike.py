@@ -159,12 +159,12 @@ def simulate_spiked_panels(
     rho2s = np.atleast_1d(np.asarray(rho2s, dtype=float))
     if len(rho2s) > min(K, M):
         raise DimensionMismatch(f"at most min(K, M) = {min(K, M)} signals can be planted")
-    if not np.all((rho2s >= 0.0) & (rho2s <= 1.0)):
+    if not ((rho2s >= 0.0) & (rho2s <= 1.0)).all():
         raise ParameterRange(f"planted squared correlations must lie in [0, 1], got {rho2s.tolist()}")
     rng = seed.generator()
     U = rng.standard_normal((K, S))
     V = rng.standard_normal((M, S))
-    r = np.sqrt(rho2s)
-    n = len(r)
-    V[:n] = r[:, None] * U[:n] + np.sqrt(1.0 - rho2s)[:, None] * V[:n]
+    n = len(rho2s)
+    if n:  # no signal planted: V stays as drawn
+        V[:n] = np.sqrt(rho2s)[:, None] * U[:n] + np.sqrt(1.0 - rho2s)[:, None] * V[:n]
     return DataPanel(U), DataPanel(V)

@@ -82,13 +82,13 @@ class Spectrum:
         v = np.array(self.values, dtype=float, copy=True).reshape(-1)
         if v.size == 0:
             raise InvalidParams("spectrum must be nonempty")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidParams("spectrum values must be finite")
-        if np.any(v < -1e-9) or np.any(v > 1.0 + 1e-9):
+        if v.min() < -1e-9 or v.max() > 1.0 + 1e-9:
             raise InvalidParams(f"spectrum values outside [0,1]: [{v.min()}, {v.max()}]")
-        if np.any(np.diff(v) > 1e-12):
+        if (v[1:] - v[:-1] > 1e-12).any():
             raise InvalidParams("spectrum values must be sorted descending")
-        v = np.clip(v, 0.0, 1.0)
+        v = v.clip(0.0, 1.0)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "meta", dict(self.meta))

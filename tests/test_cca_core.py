@@ -6,6 +6,8 @@ from hdcca.cca_core import (
     CanonicalSystem,
     CovarianceTriple,
     DataPanel,
+    _clip_unit_interval,
+    _cluster_flags,
     _tri_inv,
     alignment_angle,
     population_cca,
@@ -13,7 +15,9 @@ from hdcca.cca_core import (
     sample_spectrum,
 )
 from hdcca.errors import (
+    ClippingError,
     DimensionMismatch,
+    InvalidParams,
     RankDeficient,
     SingularCovariance,
     TooFewObservations,
@@ -47,6 +51,18 @@ class TestSampleCca:
     def test_column_count_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sample_cca(DataPanel(np.ones((1, 4))), DataPanel(np.eye(2, 5)))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 1.0, np.inf])
+    def test_tol_outside_the_unit_interval_is_refused(self, tol):
+        # a row equal to another plus 1e-7 noise fails the rank check at 1e-10
+        rng = np.random.default_rng(7)
+        U = rng.standard_normal((3, 50))
+        U[2] = U[1] + 1e-7 * rng.standard_normal(50)
+        V = DataPanel(rng.standard_normal((2, 50)))
+        with pytest.raises(RankDeficient):
+            sample_cca(DataPanel(U), V)
+        with pytest.raises(InvalidParams, match=r"tol must lie in \[0, 1\)"):
+            sample_cca(DataPanel(U), V, tol=tol)
 
     def test_rank_deficient_panel(self):
         row = np.arange(8.0)
@@ -106,6 +122,29 @@ class TestTriInv:
         assert np.all(np.triu(inv, 1) == 0.0)
         residual = np.linalg.norm(L @ inv - np.eye(n), 2)
         assert residual <= 10 * np.finfo(float).eps * np.linalg.cond(L)
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 33])
+    def test_upper_part_is_positive_zero(self, n):
+        # both sides of the direct base case and the first blocked size
+        X = np.random.default_rng(n).standard_normal((n, 2 * n + 3))
+        upper = _tri_inv(np.linalg.cholesky(X @ X.T))[np.triu_indices(n, 1)]
+        assert np.all(upper == 0.0) and not np.signbit(upper).any()
+
+
+class TestClipUnitInterval:
+    def test_keeps_the_bits_of_np_clip(self):
+        vals = np.array([1.0 + 5e-13, 1.0, 0.5, 0.0, -0.0, -5e-13])
+        out = _clip_unit_interval(vals, 1e-12)
+        assert out.tobytes() == np.clip(vals, 0.0, 1.0).tobytes()
+        assert np.signbit(out[4])  # np.clip keeps -0.0; np.maximum(-0.0, 0.0) would not
+
+    @pytest.mark.parametrize(
+        "vals", [[1.0 + 1e-9, 0.5], [0.5, -1e-9], [np.nan, 2.0], [-1.0, np.nan]],
+        ids=["above", "below", "above-beside-nan", "below-beside-nan"],
+    )
+    def test_any_value_outside_the_band_raises(self, vals):
+        with pytest.raises(ClippingError, match="outside"):
+            _clip_unit_interval(np.array(vals), 1e-12)
 
 
 class TestProjectorOracle:
@@ -274,6 +313,20 @@ class TestInvariances:
         assert cs.clustered.tolist() == [True, True, False]
         with pytest.raises(TypeError):  # always derived, never passed in
             CanonicalSystem(np.array([0.5]), np.eye(1), np.eye(1), np.array([True]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cluster_flags_match_the_pairwise_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 9))
+        gaps = rng.choice([0.0, 5e-7, 1e-6, 2e-6, 0.1], size=n)
+        c = np.clip(0.95 - np.cumsum(gaps), 0.0, 1.0)
+        want = np.zeros(n, dtype=bool)
+        for i in range(n - 1):
+            if c[i] - c[i + 1] < 1e-6:
+                want[i] = want[i + 1] = True
+        flags = _cluster_flags(c)
+        assert flags.tolist() == want.tolist()
+        assert not flags.flags.writeable
 
 
 def mixed_panels(seed, K, M, S, shared):

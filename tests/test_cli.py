@@ -628,6 +628,12 @@ class TestBadInput:
             (["simulate", "var1", "--k", "0", "--t", "10"], "DimensionMismatch"),
             (["simulate", "var1", "--k", "3", "--t", "10", "--pi-rank", "1", "--pi-scale", "0"],
              "InvalidParams"),
+            (["simulate", "var1", "--k", "3", "--t", "10", "--pi-rank", "1", "--pi-scale", "nan"],
+             "InvalidParams"),
+            (["simulate", "var1", "--k", "3", "--t", "10", "--pi-rank", "1", "--pi-scale", "inf"],
+             "InvalidParams"),
+            (["cca", "--tol", "nan"], "InvalidParams"),
+            (["cca", "--tol", "-1"], "InvalidParams"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
@@ -635,7 +641,8 @@ class TestBadInput:
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
              "alpha-range", "bins-floor", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
              "tabulate-output-under-file", "cache-dir-is-file",
-             "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale"],
+             "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale",
+             "nan-pi-scale", "inf-pi-scale", "nan-tol", "negative-tol"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         (tmp_path / "dir").mkdir()

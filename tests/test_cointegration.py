@@ -53,6 +53,17 @@ class TestTimeSeriesPanel:
         assert ts.X[0, 0] == 0.0 and not ts.X.flags.writeable
 
 
+class TestVarModel:
+    @pytest.mark.parametrize("name", ["pi", "lam", "x0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_refused(self, name, bad):
+        args = {"pi": np.zeros((2, 2)), "lam": np.eye(2), "x0": np.zeros(2)}
+        args[name] = args[name].copy()
+        args[name].flat[0] = bad
+        with pytest.raises(InvalidParams, match="must all be finite"):
+            VarModel(**args)
+
+
 class TestSimulateVar1:
     def test_random_walk_variance_grows_linearly(self):
         K, T, reps = 2, 200, 400
@@ -99,6 +110,11 @@ class TestMakePiRankR:
         pi = make_pi_rank_r(K, r, -0.7, Seed(seed))
         sv = np.linalg.svd(pi, compute_uv=False)
         assert int(np.sum(sv > 1e-8)) == r
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_is_refused(self, scale):
+        with pytest.raises(InvalidParams, match="scale must be finite"):
+            make_pi_rank_r(3, 1, scale, Seed(0))
 
     def test_full_rank_with_given_scale(self):
         pi = make_pi_rank_r(3, 3, -0.5, Seed(1))

@@ -353,3 +353,28 @@ class TestRegimeAgreement:
             assert small == large == (c2 > hi)
             decisions.append(small)
         assert decisions == sorted(decisions)  # monotone switch in the statistic
+
+
+class TestSmallPathPinned:
+    """The small-dimension tests' statistics on five seeded replicates each, as float.hex.
+
+    Bit for bit on one build, like ``golden_cca_3x20.json``: the replicates of
+    the Monte Carlo study, whose checks and clips must keep every bit.
+    """
+
+    INDEPENDENCE = ("0x1.eea548330d933p+2", "0x1.7ac4865775511p+1", "0x1.97a0f84d0a584p+1",
+                    "0x1.9115be8fc23f5p+2", "0x1.a84fa45be7a21p+2")
+    COINT = ("-0x1.3597c3e529509p+1", "-0x1.7cf22e2b9246ap+0", "-0x1.6aa032c22fd84p+1",
+             "-0x1.5a13b15a5e33dp+1", "-0x1.8cedfe304a789p+2")
+
+    def test_independence_small(self):
+        table = QuantileTable(STATISTIC_LAGUERRE_MAX, {"K": 2, "M": 3}, (1.0,), Seed(0))
+        got = [independence_test_small(*simulate_spiked_panels(2, 3, 500, [], Seed(3, i)), 0.95, table)
+               for i in range(5)]
+        assert tuple(r.statistic_value.hex() for r in got) == self.INDEPENDENCE
+
+    def test_coint_small(self):
+        table = QuantileTable(STATISTIC_BROWNIAN_COINT, {"K": 2, "r": 1}, (1.0,), Seed(0))
+        model = VarModel.pure_random_walk(2)
+        got = [coint_test_small(simulate_var1(model, 1000, Seed(3, i)), 1, 0.95, table) for i in range(5)]
+        assert tuple(r.statistic_value.hex() for r in got) == self.COINT

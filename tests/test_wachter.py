@@ -220,6 +220,12 @@ class TestKsDistance:
         with pytest.raises(InvalidParams):
             Spectrum(np.array([]))
 
+    def test_clipped_values_keep_the_bits_of_np_clip(self):
+        vals = np.array([1.0 + 5e-10, 1.0, 0.5, 0.0, -0.0, -5e-10])
+        spec = Spectrum(vals)
+        assert spec.values.tobytes() == np.clip(vals, 0.0, 1.0).tobytes()
+        assert np.signbit(spec.values[4]) and not spec.values.flags.writeable
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_spectrum_forbidden(self, bad):
         with pytest.raises(InvalidParams, match="finite"):
