@@ -53,12 +53,18 @@ CLUSTER_GAP = 1e-6
 
 @dataclass(frozen=True)
 class DataPanel:
-    """Real data matrix: rows are variables, columns are observations."""
+    """Real data matrix: rows are variables, columns are observations.
+
+    A float64, C-contiguous, read-only ndarray that owns its data is adopted as it is, any other input
+    is copied into one, and both are checked."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, order="C", copy=True)
+        arr = self.values
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.base is None
+                and arr.flags.c_contiguous and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float, order="C", copy=True)
         if arr.ndim != 2:
             raise DimensionMismatch(f"panel must be 2-d, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -37,7 +37,7 @@ from . import cointegration, dataio, hyptest
 from .cca_core import sample_cca
 from .cointegration import VarModel
 from .ensembles import Seed
-from .errors import DimensionMismatch, HdccaError, InputFormatError, TableMismatch
+from .errors import DimensionMismatch, HdccaError, InputFormatError, InvalidParams, TableMismatch
 from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, STATISTIC_LAGUERRE_MAX, QuantileTable
 from .spike import simulate_spiked_panels
 from .wachter import Spectrum, WachterParams
@@ -190,7 +190,7 @@ def cmd_cca(args) -> int:
 
 def cmd_histogram(args) -> int:
     if args.bins < 5:
-        raise HdccaError(f"need at least 5 histogram bins, got {args.bins}")
+        raise InvalidParams(f"need at least 5 histogram bins, got {args.bins}")
     coint = args.coint_tau is not None
     if (args.tau_k is None, args.tau_m is None) != (coint, coint):
         raise HdccaError("histogram needs either --tau-k and --tau-m or --coint-tau")

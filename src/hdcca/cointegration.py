@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,11 +54,14 @@ class TimeSeriesPanel:
 
 @dataclass(frozen=True)
 class VarModel:
-    """Error-correction VAR(1): Delta X_t = Pi X_{t-1} + eps_t, eps ~ N(0, Lambda)."""
+    """Error-correction VAR(1): Delta X_t = Pi X_{t-1} + eps_t, eps ~ N(0, Lambda); factored once, here."""
 
     pi: np.ndarray
     lam: np.ndarray
     x0: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    _beta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi = np.array(self.pi, dtype=float, copy=True)
@@ -75,13 +78,16 @@ class VarModel:
             raise InvalidParams("pi, lam and x0 must all be finite")
         if not np.allclose(lam, lam.T, atol=1e-10):
             raise InvalidParams("noise covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(lam)) <= 0.0:
-            raise InvalidParams("noise covariance must be positive-definite")
-        for a in (pi, lam, x0):
+        try:
+            chol = np.linalg.cholesky(lam)
+        except np.linalg.LinAlgError:
+            raise InvalidParams("noise covariance must be positive-definite") from None
+        u, sv, vt = np.linalg.svd(pi)  # pi = alpha beta^T of rank r, dropping what one step would round off
+        r = int((sv > K * np.finfo(float).eps * sv[0]).sum())
+        alpha, beta = u[:, :r] * sv[:r], vt[:r].T
+        for name, a in (("pi", pi), ("lam", lam), ("x0", x0), ("_chol", chol), ("_alpha", alpha), ("_beta", beta)):
             a.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def pure_random_walk(cls, K: int) -> "VarModel":
@@ -89,22 +95,34 @@ class VarModel:
 
 
 def _simulate_var1_rng(model: VarModel, T: int, rng: np.random.Generator) -> TimeSeriesPanel:
-    K = model.pi.shape[0]
-    L = np.linalg.cholesky(model.lam)
-    eps = L @ rng.standard_normal((K, T))
+    K, r = model._alpha.shape
     X = np.empty((K, T + 1))
     X[:, 0] = model.x0
-    if np.count_nonzero(model.pi) == 0:
-        X[:, 1:] = model.x0[:, None] + eps.cumsum(axis=1)
-    else:
-        A = np.eye(K) + model.pi
-        for t in range(1, T + 1):
-            X[:, t] = A @ X[:, t - 1] + eps[:, t - 1]
-    return TimeSeriesPanel(X)
+    W = X[:, 1:]
+    z = rng.standard_normal((K, T))
+    np.matmul(model._chol, z, out=W)
+    W.cumsum(axis=1, out=W)
+    W += model.x0[:, None]
+    if r:  # X_t = W_t + alpha c_t, c_{t+1} = B c_t + beta^T W_t, c_0 = 0: a doubling scan over t
+        y, k, P = X[:, :-1].T @ model._beta, 1, np.eye(r) + model._beta.T @ model._alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < T:  # y[j] = c_{j+1}; P = B^k, squared only while the next k < T needs it
+                y[k:] += y[:-k] @ P.T
+                k, P = 2 * k, (P @ P if 2 * k < T else P)
+            W += np.matmul(model._alpha, y.T, out=z)
+    X.setflags(write=False)
+    try:
+        return TimeSeriesPanel(X)
+    except DimensionMismatch:  # with T >= 2, a fresh (K, T + 1) series fails only on a non-finite entry
+        raise InvalidParams(f"the simulated series overflowed: I + pi is explosive over T = {T} steps") from None
 
 
 def simulate_var1(model: VarModel, T: int, seed: Seed) -> TimeSeriesPanel:
-    """Simulate X_0..X_T from the error-correction recursion with Gaussian noise."""
+    """Simulate X_0..X_T from the error-correction recursion with Gaussian noise.
+
+    X_t = W_t + alpha c_t: the random walk W_t = x0 + sum_{s<=t} L z_s is one cumulative sum, and for Pi =
+    alpha beta^T of rank r the r-vector c_{t+1} = (I + beta^T alpha) c_t + beta^T W_t, c_0 = 0, is a doubling
+    scan, log2 T passes.  Cost O(K^2 T + K r T + r^2 T log T), with no loop over time."""
     if T < 2:
         raise DimensionMismatch(f"horizon must be >= 2, got {T}")
     return _simulate_var1_rng(model, T, seed.generator())
@@ -140,6 +158,7 @@ def johansen_lambdas(X: TimeSeriesPanel) -> Spectrum:
     """
     lag = X.X[:, :-1]
     dX = X.X[:, 1:] - lag
+    dX.setflags(write=False)
     return Spectrum(values=sample_spectrum(DataPanel(dX), DataPanel(lag)), meta={"K": X.K, "T": X.T})
 
 
@@ -256,12 +275,13 @@ def modified_lambdas(X: TimeSeriesPanel) -> Spectrum:
     K, T = X.K, X.T
     if T <= 2 * K:
         raise TooFewObservations(f"need T > 2K, got K={K}, T={T}")
-    dX = np.diff(X.X, axis=1)
-    lag = X.X[:, :-1]
-    trend = np.arange(T) / T
-    detrended = lag - np.outer(X.X[:, T] - X.X[:, 0], trend)
-    U = dX - dX.mean(axis=1, keepdims=True)
-    V = detrended - detrended.mean(axis=1, keepdims=True)
+    U = X.X[:, 1:] - X.X[:, :-1]
+    U -= U.mean(axis=1, keepdims=True)
+    V = np.multiply.outer(X.X[:, T] - X.X[:, 0], np.arange(T) / T)
+    np.subtract(X.X[:, :-1], V, out=V)
+    V -= V.mean(axis=1, keepdims=True)
+    U.setflags(write=False)
+    V.setflags(write=False)
     return Spectrum(values=sample_spectrum(DataPanel(U), DataPanel(V)), meta={"K": K, "T": T, "modified": True})
 
 

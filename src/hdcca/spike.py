@@ -167,4 +167,6 @@ def simulate_spiked_panels(
     n = len(rho2s)
     if n:  # no signal planted: V stays as drawn
         V[:n] = np.sqrt(rho2s)[:, None] * U[:n] + np.sqrt(1.0 - rho2s)[:, None] * V[:n]
+    U.setflags(write=False)
+    V.setflags(write=False)
     return DataPanel(U), DataPanel(V)

@@ -11,7 +11,12 @@ Brownian sampler is the law oracle of
 :func:`hdcca.cointegration.simulate_brownian_null`: it integrates each draw
 on a grid instead of summing the Fourier series of the Brownian bridge.
 The ``csv.writer`` writer is the byte oracle of the CSV savers in
-:mod:`hdcca.dataio`, which join reprs by hand.
+:mod:`hdcca.dataio`, which join reprs by hand.  The per-step loop
+:func:`simulate_var1_loop` is the oracle of
+:func:`hdcca.cointegration.simulate_var1`, which runs the recursion as a
+cumulative sum and a doubling scan, and :func:`modified_panels` keeps the
+``np.diff``/``np.outer`` spelling of the panels inside
+:func:`hdcca.cointegration.modified_lambdas`.
 
 Three identities of the paper check the library without being part of it.
 The Jacobi loop (Dyson-Schwinger) equation, :func:`ds_residual`, checks
@@ -239,6 +244,27 @@ def euler_brownian_null(K: int, n_grid: int, nsamples: int, seed: Seed) -> np.nd
             yield w[:, ::-1]
 
     return _fill_blocks(nsamples, K, 256, seed, blocks)
+
+
+def simulate_var1_loop(model: VarModel, T: int, seed: Seed) -> np.ndarray:
+    """X_0..X_T of the error-correction recursion, one mat-vec X_t = (I + pi) X_{t-1} + eps_t a step,
+    from the same draws as :func:`hdcca.cointegration.simulate_var1`."""
+    K = model.pi.shape[0]
+    eps = np.linalg.cholesky(model.lam) @ seed.generator().standard_normal((K, T))
+    A = np.eye(K) + model.pi
+    X = np.empty((K, T + 1))
+    X[:, 0] = model.x0
+    for t in range(1, T + 1):
+        X[:, t] = A @ X[:, t - 1] + eps[:, t - 1]
+    return X
+
+
+def modified_panels(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The demeaned increments and the detrended, demeaned lagged levels of a (K, T + 1) series."""
+    T = X.shape[1] - 1
+    dX = np.diff(X, axis=1)
+    detrended = X[:, :-1] - np.outer(X[:, T] - X[:, 0], np.arange(T) / T)
+    return dX - dX.mean(axis=1, keepdims=True), detrended - detrended.mean(axis=1, keepdims=True)
 
 
 def csv_writer_save(path, header: list, rows) -> None:

@@ -33,6 +33,45 @@ def random_panels(seed, K, M, S):
     return DataPanel(rng.standard_normal((K, S))), DataPanel(rng.standard_normal((M, S)))
 
 
+def read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class TestDataPanel:
+    def test_writable_source_is_copied(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        panel = DataPanel(arr)
+        arr[0, 0] = 9.0
+        assert panel.values is not arr and panel.values[0, 0] == 0.0 and not panel.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda a: read_only(a[:, 1:]), lambda a: read_only(a.astype(np.float32)),
+         lambda a: read_only(np.asfortranarray(a))],
+        ids=["view", "float32", "fortran-order"],
+    )
+    def test_other_read_only_inputs_are_copied(self, make):
+        arr = make(read_only(np.arange(12.0).reshape(3, 4)))
+        panel = DataPanel(arr)
+        assert panel.values is not arr and panel.values.base is None
+        assert panel.values.dtype == np.float64 and panel.values.flags.c_contiguous
+        np.testing.assert_array_equal(panel.values, arr)
+
+    def test_read_only_owned_float64_array_is_adopted(self):
+        arr = read_only(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]))
+        assert DataPanel(arr).values is arr
+
+    @pytest.mark.parametrize(
+        "arr, message",
+        [(np.array([[0.0, np.nan]]), "finite"), (np.arange(3.0), "2-d"), (np.zeros((0, 3)), "at least 1x1")],
+        ids=["non-finite", "one-d", "empty"],
+    )
+    def test_an_adoptable_array_is_still_checked(self, arr, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            DataPanel(read_only(arr))
+
+
 class TestSampleCca:
     def test_proportional_rows_have_unit_correlation(self):
         U = DataPanel([[1.0, 2.0, 3.0]])

@@ -270,6 +270,13 @@ class TestPipelines:
         expected = simulate_var1(VarModel(corner, np.eye(3), np.zeros(3)), 10, Seed(5, 3))
         np.testing.assert_array_equal(load_timeseries_csv(ts).X, expected.X)
 
+    def test_explosive_series_that_stays_finite(self, tmp_path, capsys):
+        # I + pi has eigenvalue 6: 6^300 ~ 1e233 is finite, and no scan power past T is formed
+        argv = ["simulate", "var1", "--k", "2", "--t", "300", "--pi-rank", "1", "--pi-scale", "5"]
+        assert run_cli([*argv, "--output", str(tmp_path / "ts.csv")], tmp_path) == 0
+        assert capsys.readouterr().err == ""
+        assert np.abs(load_timeseries_csv(tmp_path / "ts.csv").X).max() > 1e200
+
     def test_tabulate_round_trip(self, tmp_path):
         out = tmp_path / "table.json"
         code = run_cli(
@@ -614,7 +621,8 @@ class TestBadInput:
              "InputFormatError"),
             (["independence"], "InputFormatError"),
             (["independence", "--regime", "small", "--alpha", "1.5"], "InvalidParams"),
-            (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "3"], "HdccaError"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "3"], "InvalidParams"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "0"], "InvalidParams"),
             (["cca", "--output", "{dir}"], "IsADirectoryError"),
             (["simulate", "var1", "--k", "2", "--t", "5", "--output", "{dir}"], "IsADirectoryError"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--output", "{dir}"], "IsADirectoryError"),
@@ -634,15 +642,17 @@ class TestBadInput:
              "InvalidParams"),
             (["cca", "--tol", "nan"], "InvalidParams"),
             (["cca", "--tol", "-1"], "InvalidParams"),
+            (["simulate", "var1", "--k", "2", "--t", "2000", "--pi-rank", "1", "--pi-scale", "5"],
+             "InvalidParams"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
-             "alpha-range", "bins-floor", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
+             "alpha-range", "bins-floor", "zero-bins", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
              "tabulate-output-under-file", "cache-dir-is-file",
              "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale",
-             "nan-pi-scale", "inf-pi-scale", "nan-tol", "negative-tol"],
+             "nan-pi-scale", "inf-pi-scale", "nan-tol", "negative-tol", "explosive-var"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         (tmp_path / "dir").mkdir()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, ks_2samp
 
 from hdcca import cointegration
-from hdcca.cca_core import DataPanel
+from hdcca.cca_core import DataPanel, sample_spectrum
 from hdcca.cointegration import (
     TimeSeriesPanel,
     VarModel,
@@ -34,7 +35,7 @@ from hdcca.errors import (
 )
 from hdcca.hyptest import STATISTIC_BROWNIAN_COINT
 from hdcca.wachter import Spectrum, support, support_endpoints
-from oracles import euler_brownian_null, jacobi_coupling_check
+from oracles import euler_brownian_null, jacobi_coupling_check, modified_panels, simulate_var1_loop
 
 
 class TestTimeSeriesPanel:
@@ -62,6 +63,15 @@ class TestVarModel:
         args[name].flat[0] = bad
         with pytest.raises(InvalidParams, match="must all be finite"):
             VarModel(**args)
+
+    @pytest.mark.parametrize("last", [0.0, -1e-12], ids=["singular", "negative"])
+    def test_covariance_that_is_not_positive_definite_is_refused(self, last):
+        with pytest.raises(InvalidParams, match="positive-definite"):
+            VarModel(np.zeros((2, 2)), np.diag([1.0, last]), np.zeros(2))
+
+    def test_tiny_positive_variance_is_accepted(self):
+        model = VarModel(np.zeros((2, 2)), np.diag([1.0, 1e-300]), np.zeros(2))
+        assert model._chol[1, 1] == math.sqrt(1e-300)
 
 
 class TestSimulateVar1:
@@ -96,6 +106,47 @@ class TestSimulateVar1:
         a = simulate_var1(model, 50, Seed(43)).X
         b = simulate_var1(model, 50, Seed(43)).X
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "model, T, seed, digest",
+        [
+            (VarModel.pure_random_walk(100), 1000, Seed(2026),
+             "f0781a567407405df4147fafe4560bf2f38d960cb9b6ee37f92653c8ccfea63a"),
+            (VarModel(np.zeros((2, 2)), np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([10.0, -3.0])), 500, Seed(7),
+             "57d66c1f0143fdde714333aa4cbe881092c73da38f76042138cd117c107cb49a"),
+        ],
+        ids=["k100", "k2-lam-x0"],
+    )
+    def test_random_walk_bits_are_pinned(self, model, T, seed, digest):
+        # sha256 of the series as the per-step implementation's random-walk branch wrote it, on one build
+        X = simulate_var1(model, T, seed).X
+        assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("x0", [0.0, 10.0], ids=["x0-0", "x0-10"])
+    @pytest.mark.parametrize(
+        "K, kind",
+        [(K, kind) for K in (1, 2, 3, 100) for kind in ("corner", "minus-identity", "rank-1", "rank-k", "nilpotent")
+         if K > 1 or kind != "nilpotent"],  # [[0, 1], [0, 0]] in the top-left corner needs K >= 2
+    )
+    def test_agrees_with_the_per_step_loop(self, K, kind, x0):
+        pi = np.zeros((K, K))
+        if kind == "corner":
+            pi[0, 0] = -1.0
+        elif kind == "minus-identity":
+            pi = -np.eye(K)
+        elif kind == "nilpotent":
+            pi[0, 1] = 1.0
+        else:
+            pi = make_pi_rank_r(K, 1 if kind == "rank-1" else K, -0.7, Seed(K))
+        model = VarModel(pi, np.eye(K), np.full(K, x0))
+        want = simulate_var1_loop(model, 300, Seed(44, K))
+        got = simulate_var1(model, 300, Seed(44, K)).X
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_explosive_series_that_overflows_is_refused(self):
+        model = VarModel(np.array([[5.0]]), np.eye(1), np.zeros(1))
+        with pytest.raises(InvalidParams, match=r"overflowed: I \+ pi is explosive over T = 2000 steps"):
+            simulate_var1(model, 2000, Seed(45))
 
 
 class TestMakePiRankR:
@@ -299,6 +350,14 @@ class TestModifiedLambdas:
         np.testing.assert_allclose(
             modified_lambdas(X).values, modified_lambdas(shifted).values, atol=1e-10
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_the_diff_and_outer_spelling(self, seed):
+        model = VarModel(make_pi_rank_r(6, 2, -0.5, Seed(seed)), np.eye(6), np.full(6, 3.0))
+        X = simulate_var1(model, 60, Seed(46, seed))
+        U, V = modified_panels(X.X)
+        want = sample_spectrum(DataPanel(U), DataPanel(V))
+        assert modified_lambdas(X).values.tobytes() == want.tobytes()
 
     def test_horizon_floor(self):
         X = simulate_var1(VarModel.pure_random_walk(5), 10, Seed(60))
