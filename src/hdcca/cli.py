@@ -28,6 +28,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +55,8 @@ DEFAULT_SIM_SIZE = 100
 _STORE_DEFAULTS = {
     "nsamples": DEFAULT_NSAMPLES, "seed": 0, "stream": 0, "sim_size": DEFAULT_SIM_SIZE, "table_cache_dir": None,
 }
+# A token that is a negative number is an option's value; argparse's own matcher misses -1e-3 and -inf.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
 
 
 def _seed(args) -> Seed:
@@ -193,7 +196,7 @@ def cmd_histogram(args) -> int:
         raise InvalidParams(f"need at least 5 histogram bins, got {args.bins}")
     coint = args.coint_tau is not None
     if (args.tau_k is None, args.tau_m is None) != (coint, coint):
-        raise HdccaError("histogram needs either --tau-k and --tau-m or --coint-tau")
+        raise InputFormatError("histogram needs either --tau-k and --tau-m or --coint-tau")
     params = cointegration.detrended_law(args.coint_tau) if coint else WachterParams(args.tau_k, args.tau_m)
     spec = dataio.load_spectrum_json(args.spectrum)
     _write(dataio.histogram_csv(spec.values, params, args.bins), args.output)
@@ -262,6 +265,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, allow_abbrev=False, **kwargs):
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise InputFormatError(f"{self.prog}: {message}")

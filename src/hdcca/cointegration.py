@@ -25,7 +25,7 @@ from .errors import (
     TooFewObservations,
     UnitCorrelation,
 )
-from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, QuantileTable, TestReport
+from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, QuantileTable, _decide
 from .wachter import Spectrum, WachterParams, edge_scale, upper_edge_constant
 
 _SMALL_K_WARN = 10
@@ -240,9 +240,7 @@ def tabulate_brownian_coint(
     return QuantileTable.from_samples(STATISTIC_BROWNIAN_COINT, {"K": K, "r": r}, sums, seed)
 
 
-def coint_test_small(
-    X: TimeSeriesPanel, r: int, alpha: float, table: QuantileTable
-) -> TestReport:
+def coint_test_small(X: TimeSeriesPanel, r: int, alpha: float, table: QuantileTable):
     """Fixed-K cointegration test.
 
     The (negative) trace statistic is compared against minus half the
@@ -258,9 +256,9 @@ def coint_test_small(
             RuntimeWarning,
             stacklevel=2,
         )
-    threshold = -0.5 * table.require(STATISTIC_BROWNIAN_COINT, K=X.K, r=r).threshold_for(alpha)
-    return TestReport(
-        statistic, threshold, alpha, statistic < threshold, "small_dim", {"K": X.K, "T": X.T, "r": r}
+    return _decide(
+        statistic, table.require(STATISTIC_BROWNIAN_COINT, K=X.K, r=r), alpha, -0.5, "small_dim",
+        {"K": X.K, "T": X.T, "r": r},
     )
 
 
@@ -315,9 +313,7 @@ def _large_k_constants(K: int, T: int) -> tuple[float, float, float, float]:
     return lo, hi, math.log1p(-hi), c2
 
 
-def coint_test_large(
-    X: TimeSeriesPanel, r: int, alpha: float, airy_table: QuantileTable
-) -> TestReport:
+def coint_test_large(X: TimeSeriesPanel, r: int, alpha: float, airy_table: QuantileTable):
     """Large-K cointegration test calibrated by the Airy_1 sum law.
 
     statistic = (sum_{i<=r} log(1 - lambda~_i) - r c1) / (K^(-2/3) c2)
@@ -339,8 +335,7 @@ def coint_test_large(
             RuntimeWarning,
             stacklevel=2,
         )
-    threshold = airy_table.require(STATISTIC_AIRY1_SUM, r=r).threshold_for(alpha)
-    return TestReport(
-        statistic, threshold, alpha, statistic > threshold, "large_dim",
+    return _decide(
+        statistic, airy_table.require(STATISTIC_AIRY1_SUM, r=r), alpha, 1.0, "large_dim",
         {"K": K, "T": T, "r": r, "c1": c1, "c2": c2, "tau": tau},
     )

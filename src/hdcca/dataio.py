@@ -74,7 +74,9 @@ def _read_matrix(path) -> tuple[list[int], np.ndarray]:
             vals = [_parse_float(f, path, lineno, col) for col, f in enumerate(row, start=1)]
             if len(vals) != width:
                 raise InputFormatError(f"{path}, line {lineno}: expected {width} fields, got {len(vals)}")
-    return linenos, data.reshape(len(fields), width)
+    data.shape = len(fields), width  # in place and read-only, so DataPanel adopts it; a view it would copy
+    data.setflags(write=False)
+    return linenos, data
 
 
 def _csv_lines(header, rows):

@@ -9,6 +9,9 @@ tabulated quantiles of partial sums of the Airy_1 point process (the
 r = 1 marginal is the Tracy-Widom F_1 law), themselves obtained by
 rescaling the top r eigenvalues of a large simulated MANOVA spectrum.
 Each table simulates and bisects only the r eigenvalues it sums.
+Every test, here and in :mod:`hdcca.cointegration`, decides by :func:`_decide`:
+threshold = scale * q_alpha, rejected iff the statistic lies strictly above
+it (scale 1) or strictly below it (scale -1/2, the small-K cointegration test).
 
 Tabulation draws its samples block by block from the one generator of its
 seed, so a fixed seed reproduces every table bit for bit.
@@ -155,8 +158,8 @@ class QuantileTable:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Decision record: `rejected` is the rejection inequality documented by the
-    test that produced the report; `decision` spells it "reject" or "fail_to_reject"."""
+    """Decision record of :func:`_decide`: threshold = scale * q_alpha; `rejected` is statistic > threshold
+    for scale > 0, statistic < threshold for scale < 0; `decision` spells it "reject" or "fail_to_reject"."""
 
     statistic_value: float
     threshold: float
@@ -184,6 +187,15 @@ def check_level(alpha: float) -> None:
     """Raise InvalidParams unless the test level lies in (0, 1); NaN fails too."""
     if not 0.0 < alpha < 1.0:
         raise InvalidParams(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _decide(
+    statistic: float, table: QuantileTable, alpha: float, scale: float, regime: str, diagnostics: dict
+) -> TestReport:
+    """Every test's decision (see :class:`TestReport`); its scale, 1 or -1/2, keeps q_alpha's bits."""
+    threshold = scale * table.threshold_for(alpha)
+    rejected = statistic > threshold if scale > 0 else statistic < threshold
+    return TestReport(statistic, threshold, alpha, rejected, regime, diagnostics)
 
 
 def _now() -> str:
@@ -250,10 +262,8 @@ def independence_test_small(
     k, m = sorted((U.rows, V.rows))
     S = U.cols
     top = float(sample_spectrum(U, V)[0])
-    statistic = S * top
-    threshold = table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m).threshold_for(alpha)
-    return TestReport(
-        statistic, threshold, alpha, statistic > threshold, "small_dim",
+    return _decide(
+        S * top, table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m), alpha, 1.0, "small_dim",
         {"K": U.rows, "M": V.rows, "S": S, "top_corr_sq": top},
     )
 
@@ -284,9 +294,8 @@ def independence_test_large(
             RuntimeWarning,
             stacklevel=2,
         )
-    threshold = table.require(STATISTIC_AIRY1_SUM, r=1).threshold_for(alpha)
-    return TestReport(
-        statistic, threshold, alpha, statistic > threshold, "large_dim",
+    return _decide(
+        statistic, table.require(STATISTIC_AIRY1_SUM, r=1), alpha, 1.0, "large_dim",
         {"K": K, "M": M, "S": S, "top_corr_sq": top, "lambda_plus": params.lambda_plus,
          "c_plus": upper_edge_constant(params)},
     )

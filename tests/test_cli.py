@@ -212,7 +212,7 @@ class TestHistogramCommand:
         save_spectrum_json(path, Spectrum(np.array([0.6, 0.3, 0.1])))
         argv = ["histogram", "--spectrum", str(path), "--coint-tau", "3", *ratios, "--output", str(out)]
         assert run_cli(argv, tmp_path) == 2
-        assert error_of(capsys)["error"] == "HdccaError"
+        assert error_of(capsys)["error"] == "InputFormatError"
         assert not out.exists()
 
 
@@ -269,6 +269,20 @@ class TestPipelines:
         corner[0, 0] = -1.0
         expected = simulate_var1(VarModel(corner, np.eye(3), np.zeros(3)), 10, Seed(5, 3))
         np.testing.assert_array_equal(load_timeseries_csv(ts).X, expected.X)
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-.5E+0"])
+    def test_negative_exponent_form_is_an_option_value(self, tmp_path, value):
+        # argparse's own matcher takes "-1e-3" for an option name: "--pi-scale: expected one argument"
+        argv = ["simulate", "var1", "--k", "2", "--t", "50", "--pi-rank", "1", "--seed", "3"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert run_cli([*argv, "--pi-scale", value, "--output", str(spaced)], tmp_path) == 0
+        assert run_cli([*argv, f"--pi-scale={value}", "--output", str(joined)], tmp_path) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_negative_infinity_reaches_the_value_check(self, tmp_path, capsys):
+        argv = ["simulate", "var1", "--k", "2", "--t", "50", "--pi-rank", "1", "--pi-scale", "-inf"]
+        assert run_cli([*argv, "--output", str(tmp_path / "ts.csv")], tmp_path) == 2
+        assert error_of(capsys)["error"] == "InvalidParams"
 
     def test_explosive_series_that_stays_finite(self, tmp_path, capsys):
         # I + pi has eigenvalue 6: 6^300 ~ 1e233 is finite, and no scan power past T is formed
@@ -577,7 +591,7 @@ UNREAD_VALUES = {
 UNREAD_CASES = [
     *((command, [option, *UNREAD_VALUES.get(option, ["2"])], "InputFormatError")
       for command, options in UNREAD.items() for option in options),
-    ("histogram", ["--coint-tau", "3"], "HdccaError"),  # a ratio pair and --coint-tau together
+    ("histogram", ["--coint-tau", "3"], "InputFormatError"),  # a ratio pair and --coint-tau together
 ]
 # A test called so that it succeeds, and the table options its table does not read: --sim-size
 # to a small-regime table, and every store option next to --table.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hdcca import dataio
 from hdcca.cca_core import DataPanel
 from hdcca.cli import main
 from hdcca.cointegration import TimeSeriesPanel
@@ -97,6 +98,19 @@ class TestWriterBytes:
         path = tmp_path_factory.mktemp("round-trip") / "p.csv"
         save_panel_csv(path, DataPanel(values))
         assert load_panel_csv(path).values.tobytes() == values.tobytes()
+
+
+class TestAdoption:
+    def test_loaded_panel_adopts_the_matrix_read(self, tmp_path, monkeypatch):
+        # the reader hands over a fresh read-only array, so no load copies its matrix once more
+        values = np.array([EDGE_VALUES, [-v for v in EDGE_VALUES]])
+        path = tmp_path / "p.csv"
+        save_panel_csv(path, DataPanel(values))
+        read = []
+        monkeypatch.setattr(dataio, "_read_matrix", lambda p: read.append(_read_matrix(p)) or read[-1])
+        panel = load_panel_csv(path)
+        assert panel.values is read[0][1]
+        assert panel.values.tobytes() == values.tobytes()
 
 
 class TestTokenizers:

@@ -123,12 +123,13 @@ def _series(K, T):
 class RecordingStore:
     """Stands in for a table store: records each request and answers it with a one-draw table."""
 
-    def __init__(self):
+    def __init__(self, draw=1.0):
         self.calls = []
+        self.draw = draw
 
     def require(self, statistic_id, **params):
         self.calls.append((statistic_id, params))
-        return QuantileTable(statistic_id, params, (1.0,), Seed(0))
+        return QuantileTable(statistic_id, params, (self.draw,), Seed(0))
 
 
 class TestTableRequest:
@@ -173,6 +174,29 @@ class TestTableRequest:
         with pytest.raises(error):
             test(store)
         assert store.calls == []
+
+
+class TestDecisionRule:
+    """Every test sets threshold = scale * q_alpha and never rejects a tie; one ulp past it rejects."""
+
+    @pytest.mark.parametrize(
+        "test, scale",
+        [
+            (lambda store: independence_test_small(*_panels(3, 2, 60), 0.95, store), 1.0),
+            (lambda store: independence_test_large(*_panels(60, 50, 300), 0.95, store), 1.0),
+            (lambda store: coint_test_small(_series(3, 100), 2, 0.95, store), -0.5),
+            (lambda store: coint_test_large(_series(3, 100), 2, 0.95, store), 1.0),
+        ],
+        ids=["independence_small", "independence_large", "coint_small", "coint_large"],
+    )
+    def test_a_tie_fails_to_reject_and_one_ulp_past_it_rejects(self, test, scale):
+        statistic = test(RecordingStore()).statistic_value
+        tie = test(RecordingStore(statistic / scale))
+        assert (tie.statistic_value, tie.threshold, tie.decision) == (statistic, statistic, "fail_to_reject")
+        # a lower draw lowers scale * draw for scale > 0 and raises it for scale < 0: the rejecting side
+        past = test(RecordingStore(np.nextafter(statistic / scale, -math.inf)))
+        assert past.threshold == np.nextafter(statistic, math.copysign(math.inf, -scale))
+        assert past.decision == "reject"
 
 
 class TestTabulateLaguerreMax:
