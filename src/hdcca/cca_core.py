@@ -109,10 +109,6 @@ class CanonicalSystem:
         object.__setattr__(self, "correlations_sq", c.clip(0.0, 1.0))
         object.__setattr__(self, "clustered", _cluster_flags(self.correlations_sq))
 
-    @property
-    def correlations(self) -> np.ndarray:
-        return np.sqrt(self.correlations_sq)
-
 
 @dataclass(frozen=True)
 class CovarianceTriple:

@@ -15,10 +15,11 @@ byte-identical reruns.  Quantile tables live in one on-disk store
 (:func:`_table`), one file per identity (statistic, parameters, nsamples,
 seed), checked on every read; a table keeps its draws, so one file serves
 every ``--alpha``.  A test names its table and asks for it (:class:`_Store`)
-only after its input passes, so a bad input builds and stores no table.
-``tabulate`` without ``--output`` pre-warms the store, in the cache directory
-``--table-cache-dir``, else ``$HDCCA_TABLE_DIR``, else
-``$XDG_CACHE_HOME/hdcca``, else ``~/.cache/hdcca``.
+only after its input passes, so a bad input builds and stores no table; its
+regime warning (:func:`hyptest._decide`) comes once it holds the table, so a
+refused table prints just the error line.  ``tabulate`` without ``--output``
+pre-warms the store, in the cache directory ``--table-cache-dir``, else
+``$HDCCA_TABLE_DIR``, else ``$XDG_CACHE_HOME/hdcca``, else ``~/.cache/hdcca``.
 """
 
 from __future__ import annotations
@@ -77,22 +78,26 @@ def _emit(doc: dict, args) -> None:
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
 
 
-# Statistic id -> tabulator of (params, nsamples, seed); the unused levels
-# slot gets (), the unused Brownian grid slot None.  Each entry looks its
-# function up in the module at call time, so a wrapper installed on the
-# module (the benchmark's tracer) sees every build.
-_TABULATORS = {
-    STATISTIC_LAGUERRE_MAX: lambda p, n, seed: hyptest.tabulate_laguerre_max(p["K"], p["M"], (), n, seed),
-    STATISTIC_AIRY1_SUM: lambda p, n, seed: hyptest.tabulate_airy1_sums(p["r"], (), p["sim_size"], n, seed),
-    STATISTIC_BROWNIAN_COINT: lambda p, n, seed: cointegration.tabulate_brownian_coint(
-        p["K"], p["r"], (), None, n, seed
+# Each table kind, once: statistic id -> (its identity's keys, each an option of `tabulate <kind>`,
+# and its tabulator of (params, nsamples, seed); the unused levels slot gets (), the unused Brownian
+# grid slot None).  A tabulator looks its function up in the module at call time, so a wrapper
+# installed on the module (the benchmark's tracer) sees every build.
+_KINDS = {
+    STATISTIC_LAGUERRE_MAX: (
+        ("K", "M"), lambda p, n, seed: hyptest.tabulate_laguerre_max(p["K"], p["M"], (), n, seed)
+    ),
+    STATISTIC_AIRY1_SUM: (
+        ("r", "sim_size"), lambda p, n, seed: hyptest.tabulate_airy1_sums(p["r"], (), p["sim_size"], n, seed)
+    ),
+    STATISTIC_BROWNIAN_COINT: (
+        ("K", "r"), lambda p, n, seed: cointegration.tabulate_brownian_coint(p["K"], p["r"], (), None, n, seed)
     ),
 }
 
 
 def _tabulate(args, statistic_id: str, params: dict) -> QuantileTable:
     """A freshly built table; ``--no-timestamp`` leaves out its build time."""
-    table = _TABULATORS[statistic_id](params, args.nsamples, _seed(args))
+    table = _KINDS[statistic_id][1](params, args.nsamples, _seed(args))
     return dataclasses.replace(table, built_at=None) if args.no_timestamp else table
 
 
@@ -132,20 +137,20 @@ def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
 
 @dataclasses.dataclass(frozen=True)
 class _Store:
-    """Where a test, once its input has passed, asks for its table: the ``--table``
-    file, else the stored table, whose identity adds ``--sim-size`` to an Airy_1 table's.
+    """Where a test, once its input has passed, asks for its table: the ``--table`` file, else
+    the stored table, whose identity takes from its option each key the test does not name.
 
     A store option given (not None) that the table does not read is InputFormatError, before
-    any table is read or built: each of them next to ``--table``, ``--sim-size`` for any other
-    table.  An omitted one takes its value from ``_STORE_DEFAULTS``.
+    any table is read or built: each of them next to ``--table``, ``--sim-size`` for a kind
+    whose identity lacks it.  An omitted one takes its value from ``_STORE_DEFAULTS``.
     """
 
     args: argparse.Namespace
 
     def require(self, statistic_id: str, **params) -> QuantileTable:
-        args, airy = self.args, statistic_id == STATISTIC_AIRY1_SUM
-        unread = [f"--{name.replace('_', '-')}" for name in _STORE_DEFAULTS
-                  if getattr(args, name) is not None and (args.table or (name == "sim_size" and not airy))]
+        args, identity = self.args, _KINDS[statistic_id][0]
+        unread = [f"--{name.replace('_', '-')}" for name in _STORE_DEFAULTS if getattr(args, name) is not None
+                  and (args.table or (name == "sim_size" and name not in identity))]
         if unread:
             call = f"{args.command} --regime {args.regime}" + (" --table" if args.table else "")
             raise InputFormatError(f"{call} does not read {', '.join(unread)}")
@@ -153,8 +158,7 @@ class _Store:
             return QuantileTable.load(args.table).require(statistic_id, **params)
         given = vars(args)
         args = argparse.Namespace(**{**given, **{k: d for k, d in _STORE_DEFAULTS.items() if given[k] is None}})
-        if airy:
-            params["sim_size"] = args.sim_size
+        params.update({k: getattr(args, k) for k in identity if k not in params})
         return _table(args, statistic_id, params)[0]
 
 
@@ -242,13 +246,12 @@ def cmd_simulate_var1(args) -> int:
 
 
 def cmd_tabulate(args) -> int:
-    params = {name: getattr(args, name) for name in args.identity}
-    statistic_id = args.statistic.upper().replace("-", "_")
+    params = {name: getattr(args, name) for name in _KINDS[args.statistic_id][0]}
     if args.output:
-        _tabulate(args, statistic_id, params).save(args.output)
+        _tabulate(args, args.statistic_id, params).save(args.output)
         path = args.output
     else:
-        path = _table(args, statistic_id, params)[1]
+        path = _table(args, args.statistic_id, params)[1]
     sys.stdout.write(f"{path}\n")
     return EXIT_OK
 
@@ -359,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
         "r": ("--r", dict(type=int, default=1, help="number of top coordinates summed")),
         "sim_size": ("--sim-size", dict(type=int, default=DEFAULT_SIM_SIZE, help="internal spectrum size")),
     }
-    identities = {"laguerre-max": ("K", "M"), "airy1-sum": ("r", "sim_size"), "brownian-coint": ("K", "r")}
-    for kind, identity in identities.items():
+    for statistic_id, (identity, _) in _KINDS.items():
+        kind = statistic_id.lower().replace("_", "-")
         p = kinds.add_parser(kind, help=f"the {kind} table")
         for name in identity:
             p.add_argument(options[name][0], dest=name, **options[name][1])
         _add_store(p)
-        p.set_defaults(func=cmd_tabulate, identity=identity)
+        p.set_defaults(func=cmd_tabulate, statistic_id=statistic_id)
 
     return parser
 

@@ -11,7 +11,6 @@ fluctuations, coupled to a Jacobi spectrum of matched parameters.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,16 +248,11 @@ def coint_test_small(X: TimeSeriesPanel, r: int, alpha: float, table: QuantileTa
     and negative.
     """
     statistic = trace_statistic(johansen_lambdas(X), r, X.T)
-    if X.K > _SMALL_K_WARN:
-        warnings.warn(
-            f"K = {X.K} > {_SMALL_K_WARN}: the fixed-K limit needs K much smaller "
-            "than T; consider the large-K test",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return _decide(
         statistic, table.require(STATISTIC_BROWNIAN_COINT, K=X.K, r=r), alpha, -0.5, "small_dim",
         {"K": X.K, "T": X.T, "r": r},
+        f"K = {X.K} > {_SMALL_K_WARN}: the fixed-K limit needs K much smaller than T; "
+        "consider the large-K test" if X.K > _SMALL_K_WARN else None,
     )
 
 
@@ -328,14 +322,9 @@ def coint_test_large(X: TimeSeriesPanel, r: int, alpha: float, airy_table: Quant
     log_sum = float(np.sum(_top_log_gaps(modified_lambdas(X), r)))
     scale = edge_scale(detrended_law(tau), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
     statistic = (r * c1 - log_sum) * (1.0 - hi) * scale
-    if tau < _LARGE_RATIO_WARN:
-        warnings.warn(
-            f"T/K = {tau:.2f} is close to the lower validity boundary 2; "
-            "results may be distorted",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return _decide(
         statistic, airy_table.require(STATISTIC_AIRY1_SUM, r=r), alpha, 1.0, "large_dim",
         {"K": K, "T": T, "r": r, "c1": c1, "c2": c2, "tau": tau},
+        f"T/K = {tau:.2f} is close to the lower validity boundary 2; results may be distorted"
+        if tau < _LARGE_RATIO_WARN else None,
     )

@@ -11,9 +11,7 @@ Randomness is derived from an explicit :class:`Seed`.  A fixed
 generator is numpy's PCG64 seeded through ``SeedSequence(entropy=value,
 spawn_key=(stream,))``, normal variates use ``standard_normal`` (ziggurat)
 and Beta variates use ``beta``.  The spectra samplers fill their rows
-block by block from that one generator (:func:`_fill_blocks`).  Replicated
-loops draw replicate ``index`` from ``spawn_key=(stream, index)`` so they
-stay deterministic under any schedule.
+block by block from that one generator (:func:`_fill_blocks`).
 """
 
 from __future__ import annotations
@@ -46,12 +44,6 @@ class Seed:
             np.random.SeedSequence(entropy=self.value, spawn_key=(self.stream,))
         )
 
-    def block_generator(self, index: int) -> np.random.Generator:
-        """Generator for replicate block `index`, independent across indices."""
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.value, spawn_key=(self.stream, index))
-        )
-
 
 def _auto_block(K: int, width: int) -> int:
     """Draws per block keeping a block's largest array, K x width floats a draw, near 4e6 floats (32 MB)."""
@@ -70,8 +62,11 @@ def _fill_blocks(n: int, K: int, block_size: int, seed: Seed, blocks: Callable) 
         raise DimensionMismatch(f"need K >= 1, got K={K}")
     if n < 1:
         raise InvalidParams(f"nsamples must be >= 1, got {n}")
+    try:  # before the block list, which would grow with n until memory ran out
+        out = np.empty((n, K))
+    except (MemoryError, ValueError):  # ValueError: n past numpy's largest dimension
+        raise InvalidParams(f"nsamples = {n} draws of {K} values do not fit in memory") from None
     sizes = [min(block_size, n - start) for start in range(0, n, block_size)]
-    out = np.empty((n, K))
     done = 0
     for rows in blocks(seed.generator(), sizes):
         out[done : done + len(rows)] = rows

@@ -11,7 +11,8 @@ rescaling the top r eigenvalues of a large simulated MANOVA spectrum.
 Each table simulates and bisects only the r eigenvalues it sums.
 Every test, here and in :mod:`hdcca.cointegration`, decides by :func:`_decide`:
 threshold = scale * q_alpha, rejected iff the statistic lies strictly above
-it (scale 1) or strictly below it (scale -1/2, the small-K cointegration test).
+it (scale 1) or strictly below it (scale -1/2, the small-K cointegration test),
+and issues the test's regime warning, if any, once the table is in hand.
 
 Tabulation draws its samples block by block from the one generator of its
 seed, so a fixed seed reproduces every table bit for bit.
@@ -190,10 +191,14 @@ def check_level(alpha: float) -> None:
 
 
 def _decide(
-    statistic: float, table: QuantileTable, alpha: float, scale: float, regime: str, diagnostics: dict
+    statistic: float, table: QuantileTable, alpha: float, scale: float, regime: str, diagnostics: dict,
+    warning: str | None,
 ) -> TestReport:
-    """Every test's decision (see :class:`TestReport`); its scale, 1 or -1/2, keeps q_alpha's bits."""
+    """Every test's decision (see :class:`TestReport`); its scale, 1 or -1/2, keeps q_alpha's bits.
+    The test's regime `warning`, or None, is a RuntimeWarning at the test's caller once the table is read."""
     threshold = scale * table.threshold_for(alpha)
+    if warning is not None:
+        warnings.warn(warning, RuntimeWarning, stacklevel=3)
     rejected = statistic > threshold if scale > 0 else statistic < threshold
     return TestReport(statistic, threshold, alpha, rejected, regime, diagnostics)
 
@@ -264,7 +269,7 @@ def independence_test_small(
     top = float(sample_spectrum(U, V)[0])
     return _decide(
         S * top, table.require(STATISTIC_LAGUERRE_MAX, K=k, M=m), alpha, 1.0, "small_dim",
-        {"K": U.rows, "M": V.rows, "S": S, "top_corr_sq": top},
+        {"K": U.rows, "M": V.rows, "S": S, "top_corr_sq": top}, None,
     )
 
 
@@ -287,15 +292,10 @@ def independence_test_large(
         raise InvalidRegime(f"plug-in ratios outside the valid region: {e}") from e
     top = float(sample_spectrum(U, V)[0])
     statistic = edge_scale(params, K) * (top - params.lambda_plus)
-    if min(K, M) < _SMALL_DIM_WARN:
-        warnings.warn(
-            f"min(K, M) = {min(K, M)} < {_SMALL_DIM_WARN}: the edge approximation "
-            "may be inaccurate; consider the small-dimension test",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return _decide(
         statistic, table.require(STATISTIC_AIRY1_SUM, r=1), alpha, 1.0, "large_dim",
         {"K": K, "M": M, "S": S, "top_corr_sq": top, "lambda_plus": params.lambda_plus,
          "c_plus": upper_edge_constant(params)},
+        f"min(K, M) = {min(K, M)} < {_SMALL_DIM_WARN}: the edge approximation may be inaccurate; "
+        "consider the small-dimension test" if min(K, M) < _SMALL_DIM_WARN else None,
     )

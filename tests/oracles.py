@@ -16,7 +16,8 @@ The ``csv.writer`` writer is the byte oracle of the CSV savers in
 :func:`hdcca.cointegration.simulate_var1`, which runs the recursion as a
 cumulative sum and a doubling scan, and :func:`modified_panels` keeps the
 ``np.diff``/``np.outer`` spelling of the panels inside
-:func:`hdcca.cointegration.modified_lambdas`.
+:func:`hdcca.cointegration.modified_lambdas`.  :func:`block_generator` gives
+the tests' replicated loops one independent generator per replicate.
 
 Three identities of the paper check the library without being part of it.
 The Jacobi loop (Dyson-Schwinger) equation, :func:`ds_residual`, checks
@@ -206,6 +207,14 @@ def _complete_basis(vecs: list[np.ndarray], dim: int) -> list[np.ndarray]:
         if n > 1e-8:
             basis.append(w / n)
     return basis
+
+
+def block_generator(seed: Seed, index: int) -> np.random.Generator:
+    """Generator for replicate `index` of a replicated loop, from ``spawn_key=(stream, index)``.
+
+    Independent across indices, so a loop's replicates stay deterministic under any schedule.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed.value, spawn_key=(seed.stream, index)))
 
 
 def dense_manova_spectra(K: int, L: int, Q: int, n: int, seed: Seed) -> np.ndarray:
@@ -429,7 +438,7 @@ def master_equation_residual(
     u_vars = tildeU.values.T @ base.alphas.T    # S x Kt canonical variables
     v_vars = tildeV.values.T @ base.betas.T     # S x Mt
     c = np.zeros(Mt)
-    c[:Kt] = base.correlations
+    c[:Kt] = np.sqrt(base.correlations_sq)
 
     s = np.zeros(Mt)
     p = np.zeros(Mt)
@@ -508,7 +517,7 @@ def jacobi_coupling_check(K: int, T: int, nsamples: int, seed: Seed) -> Coupling
     model = VarModel.pure_random_walk(K)
     lam1 = np.empty(nsamples)
     for rep in range(nsamples):
-        X = _simulate_var1_rng(model, T, seed.block_generator(rep))
+        X = _simulate_var1_rng(model, T, block_generator(seed, rep))
         lam1[rep] = modified_lambdas(X).values[0]
     jacobi_seed = Seed(seed.value, seed.stream + 1)
     x1 = manova_spectra(K, 2 * K - 1, T - K - 1, nsamples, jacobi_seed, top=1)[:, -1]

@@ -144,7 +144,7 @@ class TestSampleCca:
         np.testing.assert_allclose(v.T @ v, np.eye(4), atol=1e-8)
         cross = u.T @ v
         expect = np.zeros((3, 4))
-        expect[:3, :3] = np.diag(cs.correlations)
+        expect[:3, :3] = np.diag(np.sqrt(cs.correlations_sq))
         np.testing.assert_allclose(cross, expect, atol=1e-8)
         assert np.all(np.diag(cross) >= -1e-12)
 
@@ -400,7 +400,7 @@ class TestCanonicalSigns:
             U, V = mixed_panels(11, K, M, S, shared)
         cs = sample_cca(U, V)
         n = min(K, M)
-        paired = cs.correlations > 1e-8
+        paired = np.sqrt(cs.correlations_sq) > 1e-8
         if shared is not None:
             assert paired.sum() == (shared > 0)
         # every alpha, paired or not, has a positive largest coordinate
@@ -408,7 +408,7 @@ class TestCanonicalSigns:
         # paired betas follow their alpha: the cross inner product is +c
         u = U.values.T @ cs.alphas[:n].T
         v = V.values.T @ cs.betas[:n].T
-        np.testing.assert_allclose(np.sum(u * v, axis=0)[paired], cs.correlations[paired], atol=1e-10)
+        np.testing.assert_allclose(np.sum(u * v, axis=0)[paired], np.sqrt(cs.correlations_sq)[paired], atol=1e-10)
         # zero-correlation and unpaired betas flip by their own largest coordinate
         unpaired = np.ones(M, dtype=bool)
         unpaired[:n] = ~paired

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -436,6 +437,7 @@ def small_panels(tmp_path):
 class TestTableStore:
     TABULATE_23 = ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "200"]
     PINNED_NAME = "laguerre_max-ca1a652a6e5ad2f555143ce4.json"
+    BROWNIAN_PINNED_NAME = "brownian_coint-12bca572fa253ba1d54edd8d.json"
 
     def test_tables_of_different_dimensions_get_different_files(self, tmp_path):
         assert run_cli(self.TABULATE_23, tmp_path) == 0
@@ -459,6 +461,24 @@ class TestTableStore:
         path = Path(capsys.readouterr().out.strip())
         assert path.name == "airy1_sum-f4064e9e8d8cf54078e56a4d.json"
         assert path.read_bytes() == (DATA / path.name).read_bytes()
+
+    def test_brownian_file_name_is_the_identity_digest(self, tmp_path, capsys):
+        # K=2, r=1, nsamples 200, seed 0/0: pinned like the Laguerre name above
+        argv = ["tabulate", "brownian-coint", "--k", "2", "--nsamples", "200", "--seed", "0", "--stream", "0"]
+        assert run_cli(argv, tmp_path) == 0
+        assert Path(capsys.readouterr().out.strip()).name == self.BROWNIAN_PINNED_NAME
+
+    @pytest.mark.parametrize(
+        "kind", [["laguerre-max", "--k", "2", "--m", "3"], ["airy1-sum"], ["brownian-coint", "--k", "2"]],
+        ids=["laguerre-max", "airy1-sum", "brownian-coint"],
+    )
+    def test_output_writes_the_bytes_the_store_holds(self, tmp_path, capsys, kind):
+        argv = ["tabulate", *kind, "--nsamples", "100", "--no-timestamp"]
+        assert run_cli(argv, tmp_path) == 0
+        stored = Path(capsys.readouterr().out.strip())
+        out = tmp_path / "t.json"
+        assert run_cli([*argv, "--output", str(out)], tmp_path) == 0
+        assert out.read_bytes() == stored.read_bytes()
 
     @pytest.mark.parametrize(
         "tabulate, test",
@@ -923,6 +943,84 @@ class TestBadInput:
         assert err["error"] == "InputFormatError"
         assert f"unrecognized arguments: {' '.join(abbreviation)}" in err["message"]
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("nsamples", [10**17, 10**19], ids=["1e17", "1e19"])
+    def test_nsamples_that_do_not_fit_in_memory(self, tmp_path, capsys, nsamples):
+        # the draws are allocated before any is made, so the refusal is immediate: 1e17 rows need
+        # 1.4 EiB, and 1e19 rows exceed numpy's largest dimension
+        out = tmp_path / "t.json"
+        argv = ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", str(nsamples), "--output", str(out)]
+        assert run_cli(argv, tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InvalidParams"
+        assert "do not fit in memory" in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+
+def hdcca_process(argv, cwd):
+    """``python -m hdcca`` in a fresh interpreter, where a regime warning prints rather than raises."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hyptest.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-m", "hdcca", *argv], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+class TestRegimeWarning:
+    """A test warns once its table is in hand: a warned decision prints the warning, attributed to the
+    CLI's call of the test, and a refused table prints only the one error line."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        # 10 x 12 panels warn in the large regime (min(K, M) < 50), and so does a K = 40, T = 90
+        # series (T/K < 2.5); the same series warns in the small regime too (K > 10)
+        d = tmp_path_factory.mktemp("warned")
+        for argv in (["simulate", "panels", "--k", "10", "--m", "12", "--s", "100",
+                      "--output-u", "{d}/u.csv", "--output-v", "{d}/v.csv"],
+                     ["simulate", "var1", "--k", "40", "--t", "90", "--output", "{d}/ts.csv"],
+                     ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
+                      "--output", "{d}/lag.json"]):
+            assert main([a.format(d=d) for a in argv]) == 0
+        return d
+
+    INDEPENDENCE = ["independence", "--u", "u.csv", "--v", "v.csv", "--regime", "large"]
+    COINT = ["coint", "--input", "ts.csv"]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([*INDEPENDENCE, "--table", "lag.json"], "TableMismatch"),
+            ([*INDEPENDENCE, "--table", "lag.json", "--seed", "3"], "InputFormatError"),
+            ([*INDEPENDENCE, "--nsamples", "-1", "--table-cache-dir", "cache"], "InvalidParams"),
+            ([*COINT, "--regime", "large", "--table", "lag.json"], "TableMismatch"),
+        ],
+        ids=["independence-table-mismatch", "independence-seed-next-to-table", "independence-negative-nsamples",
+             "coint-table-mismatch"],
+    )
+    def test_refused_table_prints_one_line(self, workdir, argv, error):
+        proc = hdcca_process(argv, workdir)
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv, message, call",
+        [
+            (INDEPENDENCE, "min(K, M) = 10 < 50: the edge approximation may be inaccurate; "
+             "consider the small-dimension test", "test(U, V, args.alpha, _Store(args))"),
+            ([*COINT, "--regime", "large"], "T/K = 2.25 is close to the lower validity boundary 2; "
+             "results may be distorted", "test(X, args.r, args.alpha, _Store(args))"),
+            ([*COINT, "--regime", "small"], "K = 40 > 10: the fixed-K limit needs K much smaller than T; "
+             "consider the large-K test", "test(X, args.r, args.alpha, _Store(args))"),
+        ],
+        ids=["independence-large", "coint-large", "coint-small"],
+    )
+    def test_warned_decision_prints_the_warning(self, workdir, argv, message, call):
+        proc = hdcca_process([*argv, "--nsamples", "50", "--table-cache-dir", "cache", "--no-timestamp"], workdir)
+        assert proc.returncode in (0, 3)
+        assert json.loads(proc.stdout)["schema"] == "hdcca.report/1"
+        source = Path(hyptest.__file__).with_name("cli.py").read_text().splitlines()
+        [line] = [i for i, text in enumerate(source, 1) if call in text]
+        where, statement = proc.stderr.splitlines()
+        assert where.endswith(f"{os.sep}cli.py:{line}: RuntimeWarning: {message}")
+        assert statement.strip() == source[line - 1].strip()
 
 
 def test_readme_command_lines_parse():

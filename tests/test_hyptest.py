@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import math
@@ -105,9 +104,8 @@ class TestQuantileTable:
             "coint_small": (lambda: coint_test_small(X, 1, 0.95, table), (STATISTIC_BROWNIAN_COINT, {"K": 2, "r": 1})),
             "coint_large": (lambda: coint_test_large(X, 1, 0.95, table), (STATISTIC_AIRY1_SUM, {"r": 1})),
         }[test]
-        # the statistic comes before the table, so the 2 x 3 panels warn first
-        warns = pytest.warns(RuntimeWarning) if test == "independence_large" else contextlib.nullcontext()
-        with warns, pytest.raises(TableMismatch, match=statistic_id) as info:
+        # the table is refused before the decision, so the 2 x 3 panels raise no regime warning
+        with pytest.raises(TableMismatch, match=statistic_id) as info:
             run()
         assert str(needed) in str(info.value)
 

@@ -2,8 +2,9 @@
 
 Code that only the tests call lives in ``tests/`` (the oracles in ``tests/oracles.py``), so an
 exported name must be referenced, as code rather than in a docstring, somewhere in ``src/hdcca``
-(its re-export in ``__init__.py`` aside), ``scripts/`` or ``bench/``.  ``KEEP`` names the few
-exports kept for their own sake: the Wachter law and the population CCA of the paper.
+(its re-export in ``__init__.py`` aside), ``scripts/`` or ``bench/``, and so must each public
+method or property of an exported class.  ``KEEP`` names the few exports kept for their own
+sake: the Wachter law and the population CCA of the paper.
 """
 
 import ast
@@ -42,3 +43,15 @@ def test_every_export_is_used_outside_the_tests():
 
 def test_kept_names_are_exported():
     assert all(hasattr(hdcca, name) for name in KEEP)
+
+
+def test_every_public_method_of_an_exported_class_is_used_outside_the_tests():
+    classes = [getattr(hdcca, name) for name in dir(hdcca) if isinstance(getattr(hdcca, name), type)]
+    members = {
+        f"{cls.__name__}.{attr}"
+        for cls in classes
+        for attr, value in vars(cls).items()
+        if not attr.startswith("_") and (callable(value) or isinstance(value, (property, classmethod, staticmethod)))
+    }
+    unused = sorted(m for m in members if m.split(".")[1] not in referenced_names())
+    assert unused == [], f"public but used only by the tests (move to tests/ or delete): {unused}"

@@ -247,7 +247,7 @@ class TestConsistencyRegime:
         for S in (10**3, 10**4, 10**5):
             U, V = simulate_spiked_panels(K, M, S, [c1**2], Seed(60 + S % 97))
             cs = sample_cca(U, V)
-            errs.append(abs(cs.correlations[0] - c1))
+            errs.append(abs(np.sqrt(cs.correlations_sq[0]) - c1))
             angles.append(alignment_angle(U, np.eye(K)[0], cs.alphas[0]))
         assert errs[2] < errs[0]
         assert errs[2] < 0.02
