@@ -19,16 +19,20 @@ Conventions, fixed so results are deterministic:
   the vectors inside a cluster are an arbitrary orthonormal basis of the
   cluster space and should not be compared individually.
 
-The kernel needs numpy alone, like the rest of hdcca: Cholesky factors
-from ``np.linalg.cholesky`` and their inverses from one blocked triangular
-inversion.  Callers that read only the correlations get them as the
-eigenvalues of the min(K, M)-square Gram matrix of the whitened cross
-block, with no SVD.  The kernel runs at numpy's BLAS thread
-setting, like the rest of the program.  Checks and clips on the per-call
-path are ndarray methods and slices, because numpy's Python wrapper functions
-dominate a small replicate: on 2-element arrays ``np.any(a) or np.any(b)``
-takes 10 us, ``np.tril`` 5, ``np.clip`` and ``np.diff`` 4 and ``np.diag`` 2,
-their method or slice forms 0.2-2 us (numpy 2.4 on a 2-vCPU x86 host).
+The kernel needs numpy alone, like the rest of hdcca: Cholesky factors from
+``np.linalg.cholesky`` and their inverses from one blocked triangular
+inversion.  Its steps take a leading stack axis, panels (..., K, S), run item
+by item by numpy's LAPACK and BLAS calls, so a stack keeps each pair's bits.
+CCA is invariant under U -> cU but the Grams are not, so when a Gram diagonal
+entry leaves [2^-600, 2^600] each panel (stack item) is divided by 2^e, e the
+frexp exponent of its largest |entry|, and its vectors multiplied back by
+2^-e: a power of two keeps every rounding.  The kernel runs at numpy's BLAS
+thread setting, like the rest of the program.  Checks, clips and transposes on
+the per-call path are ndarray methods, attributes and slices, because numpy's
+Python wrapper functions dominate a small replicate: on 2-element arrays
+``np.any(a) or np.any(b)`` takes 10 us, ``np.tril`` 5, ``np.clip`` and
+``np.diff`` 4 and ``np.diag`` 2, their method or slice forms 0.2-2 us (numpy
+2.4 on a 2-vCPU x86 host).
 """
 
 from __future__ import annotations
@@ -163,14 +167,14 @@ def _clip_unit_interval(vals: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _checked_cholesky(G: np.ndarray, tol: float, side: str) -> np.ndarray:
-    """Lower Cholesky factor L of G; RankDeficient when some row keeps a share L[i, i]^2 / G[i, i]
-    <= tol of its squared norm outside the span of the rows before it (no row scaling changes it)."""
+    """Lower Cholesky factors L of the stack G; RankDeficient when in some item a row keeps a share L[i, i]^2 /
+    G[i, i] <= tol, or NaN, of its squared norm outside the span of the rows before it (no row scaling changes it)."""
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as e:
         raise RankDeficient(f"{side} Gram matrix is not positive definite: {e}") from e
-    share = (L.diagonal() ** 2 / G.diagonal()).min()
-    if share <= tol:
+    share = (L.diagonal(0, -2, -1) ** 2 / G.diagonal(0, -2, -1)).min()
+    if not share > tol:
         raise RankDeficient(
             f"{side} Gram matrix is rank-deficient within tol={tol} (smallest row share {share:.3e})"
         )
@@ -201,38 +205,42 @@ _STRICT_UPPER = [np.triu(np.ones((n, n), dtype=bool), 1) for n in range(33)]  # 
 
 
 def _tri_inv(L: np.ndarray) -> np.ndarray:
-    """Inverse of the lower-triangular L, exactly lower-triangular itself.
+    """Inverse of the lower-triangular L (or of each item of a stack), exactly lower-triangular itself.
 
     Blocked by halving, L = [[A, 0], [B, C]] gives L^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]
     with both diagonal blocks inverted recursively (Du Croz & Higham, IMA J. Numer. Anal. 12,
     1992); blocks of at most 32 rows go to np.linalg.inv, their upper part zeroed.
     """
-    n = L.shape[0]
+    n = L.shape[-1]
     if n <= 32:
         X = np.linalg.inv(L)
-        X[_STRICT_UPPER[n]] = 0.0
+        np.copyto(X, 0.0, where=_STRICT_UPPER[n])
         return X
     h = n // 2
-    Ai, Ci = _tri_inv(L[:h, :h]), _tri_inv(L[h:, h:])
+    Ai, Ci = _tri_inv(L[..., :h, :h]), _tri_inv(L[..., h:, h:])
     X = np.zeros_like(L)
-    X[:h, :h] = Ai
-    X[h:, h:] = Ci
-    X[h:, :h] = -(Ci @ (L[h:, :h] @ Ai))
+    X[..., :h, :h] = Ai
+    X[..., h:, h:] = Ci
+    X[..., h:, :h] = -(Ci @ (L[..., h:, :h] @ Ai))
     return X
 
 
-def _whitened_svd(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray, clip_tol: float) -> CanonicalSystem:
+def _whitened_svd(Lu: np.ndarray, Lv: np.ndarray, cross: np.ndarray, eu, ev, clip_tol: float) -> CanonicalSystem:
     """Canonical system from the SVD of Lu^-1 cross Lv^-T, Lu and Lv lower Cholesky factors.
 
     Squared singular values are clipped with `clip_tol`; the singular
-    vectors mapped back through Lu^-T and Lv^-T are the canonical vectors,
-    signs fixed.
+    vectors mapped back through Lu^-T and Lv^-T, times 2^-eu and 2^-ev,
+    are the canonical vectors, signs fixed.
     """
     Iu, Iv = _tri_inv(Lu), _tri_inv(Lv)
     A, s, Bt = np.linalg.svd(Iu @ cross @ Iv.T, full_matrices=True)
     corr_sq = _clip_unit_interval(s**2, clip_tol)
-    alphas = Iu.T @ A
-    betas = Iv.T @ Bt.T
+    try:
+        with np.errstate(over="raise"):  # only a panel near the bottom of the float range overflows its vectors
+            alphas = np.ldexp(Iu.T @ A, -eu)
+            betas = np.ldexp(Iv.T @ Bt.T, -ev)
+    except FloatingPointError:
+        raise RankDeficient(f"canonical vectors overflow at panel scales 2^{np.max(eu)}, 2^{np.max(ev)}") from None
     _canonical_signs(alphas, betas, np.sqrt(corr_sq))
     return CanonicalSystem(
         correlations_sq=corr_sq, alphas=alphas.T.copy(), betas=betas.T.copy()
@@ -250,21 +258,33 @@ def sample_cca(U: DataPanel, V: DataPanel, tol: float = DEFAULT_TOL) -> Canonica
     """
     if not 0.0 <= tol < 1.0:
         raise InvalidParams(f"tol must lie in [0, 1), got {tol}")
-    return _whitened_svd(*_sample_factors(U, V, tol), max(tol, 1e-12))
+    return _whitened_svd(*_sample_factors(U.values, V.values, tol), max(tol, 1e-12))
 
 
-def _sample_factors(U: DataPanel, V: DataPanel, tol: float) -> tuple:
-    """Checked Cholesky factors of U U^T and V V^T, and the cross-Gram U V^T."""
-    if U.cols != V.cols:
-        raise DimensionMismatch(f"observation counts differ: {U.cols} vs {V.cols}")
-    K, M, S = U.rows, V.rows, U.cols
+def _pow2_scaled(x: np.ndarray, axis=(-2, -1)) -> tuple:
+    """x / 2^e and e, e the frexp exponent of the largest |entry| of each item (over `axis`); see the module."""
+    e = np.frexp(abs(x).max(axis, keepdims=True))[1]
+    return np.ldexp(x, -e), e
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a Gram far from unit scale may overflow; it is then formed again
+def _sample_factors(u: np.ndarray, v: np.ndarray, tol: float) -> tuple:
+    """Checked Cholesky factors of u u^T and v v^T, cross-Gram u v^T and scale exponents e of the module's rule."""
+    (K, S), (M, T) = u.shape[-2:], v.shape[-2:]
+    if S != T:
+        raise DimensionMismatch(f"observation counts differ: {S} vs {T}")
     if K + M > S:
         raise TooFewObservations(
             f"K + M = {K + M} > S = {S}: {K + M - S} unit correlations are forced"
         )
-    Lu = _checked_cholesky(U.values @ U.values.T, tol, "U")
-    Lv = _checked_cholesky(V.values @ V.values.T, tol, "V")
-    return Lu, Lv, U.values @ V.values.T
+    Gu, Gv, eu, ev = u @ u.mT, v @ v.mT, 0, 0
+    d = Gu.diagonal(0, -2, -1).ravel().tolist() + Gv.diagonal(0, -2, -1).ravel().tolist()
+    if not 2.0**-600 < min(d) <= max(d) < 2.0**600:
+        (u, eu), (v, ev) = _pow2_scaled(u), _pow2_scaled(v)
+        Gu, Gv = u @ u.mT, v @ v.mT
+    Lu = _checked_cholesky(Gu, tol, "U")
+    Lv = _checked_cholesky(Gv, tol, "V")
+    return Lu, Lv, u @ v.mT, eu, ev
 
 
 def sample_spectrum(U: DataPanel, V: DataPanel) -> np.ndarray:
@@ -275,10 +295,15 @@ def sample_spectrum(U: DataPanel, V: DataPanel) -> np.ndarray:
     the squared singular values of C without an SVD, no vector recovery
     and no sign fixing.  For callers that read only the correlations.
     """
-    Lu, Lv, cross = _sample_factors(U, V, DEFAULT_TOL)
-    C = _tri_inv(Lu) @ cross @ _tri_inv(Lv).T
-    G = C @ C.T if C.shape[0] <= C.shape[1] else C.T @ C
-    return _clip_unit_interval(np.linalg.eigvalsh(G)[::-1], DEFAULT_TOL)
+    return _spectra(U.values, V.values)
+
+
+def _spectra(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`sample_spectrum` of each item of (..., K, S) and (..., M, S) stacks, shape (..., min(K, M))."""
+    Lu, Lv, cross = _sample_factors(u, v, DEFAULT_TOL)[:3]
+    C = _tri_inv(Lu) @ cross @ _tri_inv(Lv).mT
+    G = C @ C.mT if C.shape[-2] <= C.shape[-1] else C.mT @ C
+    return _clip_unit_interval(np.linalg.eigvalsh(G)[..., ::-1], DEFAULT_TOL)
 
 
 def population_cca(cov: CovarianceTriple) -> CanonicalSystem:
@@ -292,7 +317,7 @@ def population_cca(cov: CovarianceTriple) -> CanonicalSystem:
         Lv = np.linalg.cholesky(cov.lvv)
     except np.linalg.LinAlgError as e:  # pragma: no cover - validated upstream
         raise SingularCovariance(str(e)) from e
-    return _whitened_svd(Lu, Lv, cov.luv, 1e-10)
+    return _whitened_svd(Lu, Lv, cov.luv, 0, 0, 1e-10)
 
 
 def alignment_angle(U: DataPanel, a_ref: np.ndarray, a_hat: np.ndarray) -> float:
@@ -302,21 +327,16 @@ def alignment_angle(U: DataPanel, a_ref: np.ndarray, a_hat: np.ndarray) -> float
     canonical variable matches the reference direction exactly, 1 means
     orthogonal.
     """
-    a_ref = np.asarray(a_ref, dtype=float).reshape(-1)
-    a_hat = np.asarray(a_hat, dtype=float).reshape(-1)
-    if a_ref.shape != (U.rows,) or a_hat.shape != (U.rows,):
-        raise DimensionMismatch(
-            f"coefficient vectors must have length {U.rows}, "
-            f"got {a_ref.shape} and {a_hat.shape}"
-        )
-    img_ref = U.values.T @ a_ref
-    img_hat = U.values.T @ a_hat
-    scale = np.linalg.norm(U.values)
-    n_ref = np.linalg.norm(img_ref)
-    n_hat = np.linalg.norm(img_hat)
-    if n_ref <= 1e-14 * scale * max(np.linalg.norm(a_ref), 1e-300):
-        raise ZeroImage("a_ref maps to the zero vector under U^T")
-    if n_hat <= 1e-14 * scale * max(np.linalg.norm(a_hat), 1e-300):
-        raise ZeroImage("a_hat maps to the zero vector under U^T")
-    cos2 = (img_ref @ img_hat) ** 2 / (n_ref**2 * n_hat**2)
+    u = _pow2_scaled(U.values, None)[0]  # U and each vector over a power of two, so no norm leaves the float range
+    images, scale = [], np.linalg.norm(u)
+    for name, a in (("a_ref", a_ref), ("a_hat", a_hat)):
+        a = np.asarray(a, dtype=float).reshape(-1)
+        if a.shape != (U.rows,):
+            raise DimensionMismatch(f"coefficient vectors must have length {U.rows}, got {a.shape} for {name}")
+        a = _pow2_scaled(a, None)[0]
+        images.append(u.T @ a)
+        if np.linalg.norm(images[-1]) <= 1e-14 * scale * np.linalg.norm(a):
+            raise ZeroImage(f"{name} maps to the zero vector under U^T")
+    img_ref, img_hat = images
+    cos2 = (img_ref @ img_hat) ** 2 / (np.linalg.norm(img_ref) ** 2 * np.linalg.norm(img_hat) ** 2)
     return float(np.clip(1.0 - cos2, 0.0, 1.0))

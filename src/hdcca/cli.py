@@ -196,8 +196,8 @@ def cmd_cca(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    if args.bins < 5:
-        raise InvalidParams(f"need at least 5 histogram bins, got {args.bins}")
+    if not 5 <= args.bins <= 100_000:
+        raise InvalidParams(f"need 5 to 100000 histogram bins, got {args.bins}")
     coint = args.coint_tau is not None
     if (args.tau_k is None, args.tau_m is None) != (coint, coint):
         raise InputFormatError("histogram needs either --tau-k and --tau-m or --coint-tau")
@@ -208,7 +208,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_independence(args) -> int:
-    hyptest.check_level(args.alpha)
+    hyptest.check_test_level(args.alpha)
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
     test = hyptest.independence_test_small if args.regime == "small" else hyptest.independence_test_large
@@ -216,7 +216,7 @@ def cmd_independence(args) -> int:
 
 
 def cmd_coint(args) -> int:
-    hyptest.check_level(args.alpha)
+    hyptest.check_test_level(args.alpha)
     X = dataio.load_timeseries_csv(args.input)
     test = cointegration.coint_test_small if args.regime == "small" else cointegration.coint_test_large
     return _emit_report(args, test(X, args.r, args.alpha, _Store(args)))
@@ -292,7 +292,7 @@ def _add_store(p: argparse.ArgumentParser) -> None:
 
 
 def _add_test_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
+    p.add_argument("--alpha", type=float, default=0.95, help="confidence level 1 - size, in (0.5, 1)")
     p.add_argument("--regime", choices=("small", "large"), required=True)
     p.add_argument("--table", help="quantile table JSON (tabulated on demand if omitted)")
     p.add_argument("--sim-size", type=int, help=f"spectrum size of an Airy_1 table (default {DEFAULT_SIM_SIZE})")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-k", type=float, help="ratio S/K of the overlay")
     p.add_argument("--tau-m", type=float, help="ratio S/M of the overlay")
     p.add_argument("--coint-tau", type=float, help="cointegration ratio T/K; overlays the (1+tau, (1+tau)/2) law")
-    p.add_argument("--bins", type=int, default=40, help="number of bins over [0, 1]")
+    p.add_argument("--bins", type=int, default=40, help="number of bins over [0, 1], 5 to 100000")
     p.add_argument("--output", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_histogram)
 

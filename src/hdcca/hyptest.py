@@ -190,12 +190,20 @@ def check_level(alpha: float) -> None:
         raise InvalidParams(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def check_test_level(alpha: float) -> None:
+    """Raise InvalidParams unless a test's level, its confidence level 1 - size, lies in (1/2, 1)."""
+    check_level(alpha)
+    if alpha <= 0.5:
+        raise InvalidParams(f"alpha is the confidence level 1 - size, got {alpha}")
+
+
 def _decide(
     statistic: float, table: QuantileTable, alpha: float, scale: float, regime: str, diagnostics: dict,
     warning: str | None,
 ) -> TestReport:
     """Every test's decision (see :class:`TestReport`); its scale, 1 or -1/2, keeps q_alpha's bits.
     The test's regime `warning`, or None, is a RuntimeWarning at the test's caller once the table is read."""
+    check_test_level(alpha)
     threshold = scale * table.threshold_for(alpha)
     if warning is not None:
         warnings.warn(warning, RuntimeWarning, stacklevel=3)

@@ -6,8 +6,10 @@ from hdcca.cca_core import (
     CanonicalSystem,
     CovarianceTriple,
     DataPanel,
+    _checked_cholesky,
     _clip_unit_interval,
     _cluster_flags,
+    _spectra,
     _tri_inv,
     alignment_angle,
     population_cca,
@@ -23,6 +25,8 @@ from hdcca.errors import (
     TooFewObservations,
     ZeroImage,
 )
+from hdcca.ensembles import Seed
+from hdcca.spike import simulate_spiked_panels
 from oracles import sample_cca_projector_oracle, sequential_maximization_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -464,3 +468,98 @@ class TestSampleSpectrum:
         with pytest.raises(error) as short:
             sample_spectrum(U, V)
         assert str(short.value) == str(full.value)
+
+
+class TestStackedSpectra:
+    """The spectrum path takes a leading stack axis and gives each pair the bits of its one-pair call."""
+
+    @pytest.mark.parametrize("K, M, S, n", [(2, 3, 500, 256), (10, 12, 100, 64), (100, 150, 500, 8)])
+    def test_a_stack_gives_each_pair_its_bits(self, K, M, S, n):
+        # K = 100 > 32 runs _tri_inv's blocked recursion on the stack
+        rng = np.random.default_rng(K)
+        u, v = rng.standard_normal((n, K, S)), rng.standard_normal((n, M, S))
+        pairs = np.array([sample_spectrum(DataPanel(a), DataPanel(b)) for a, b in zip(u, v)])
+        stacked = _spectra(u, v)
+        assert stacked.shape == (n, min(K, M))
+        assert stacked.tobytes() == pairs.tobytes()
+
+    def test_a_far_scaled_item_keeps_every_pair_its_bits(self):
+        # one item far from unit scale rescales the stack, each item by its own power of two
+        rng = np.random.default_rng(3)
+        u, v = rng.standard_normal((6, 2, 40)), rng.standard_normal((6, 3, 40))
+        u[4] *= 1e200
+        pairs = np.array([sample_spectrum(DataPanel(a), DataPanel(b)) for a, b in zip(u, v)])
+        assert _spectra(u, v).tobytes() == pairs.tobytes()
+
+    def test_one_degenerate_item_fails_the_stack(self):
+        rng = np.random.default_rng(0)
+        u, v = rng.standard_normal((4, 2, 50)), rng.standard_normal((4, 3, 50))
+        u[2, 1] = 3.0 * u[2, 0]
+        with pytest.raises(RankDeficient, match="U Gram matrix"):
+            _spectra(u, v)
+
+    # K = 40 > 32: the one-pair path through _tri_inv's recursion, as float.hex, bit for bit on one build
+    PINNED_40x45x200 = (
+    "0x1.7dc90b9471f10p-1", "0x1.3e87892b1300ep-1", "0x1.3216ab9bec88bp-1", "0x1.17a8a592d3474p-1",
+    "0x1.148cce451a1a4p-1", "0x1.e61a55514fec6p-2", "0x1.e1dc513bab22bp-2", "0x1.b2db994f96e54p-2",
+    "0x1.a851432f1950ap-2", "0x1.81536f53c2cf9p-2", "0x1.4ea5a3a4eb97bp-2", "0x1.4d04a1745aadcp-2",
+    "0x1.421e1b4e6b3dep-2", "0x1.18959c007d948p-2", "0x1.0320ef7c52b70p-2", "0x1.f4a6c0fe8afb5p-3",
+    "0x1.c434fce5bbf87p-3", "0x1.ab6d836863412p-3", "0x1.7f17eaa3dee86p-3", "0x1.756821dd73c2ep-3",
+    "0x1.51ece59361f32p-3", "0x1.31d06c0deb3a7p-3", "0x1.0cb45aacfa03ep-3", "0x1.f7c0c21748d56p-4",
+    "0x1.b04cde5f0fc10p-4", "0x1.7bac1e50da798p-4", "0x1.586f6415111b9p-4", "0x1.50d3dcd5ad094p-4",
+    "0x1.f29556198910cp-5", "0x1.c06277c62f18dp-5", "0x1.6ec03207f84d4p-5", "0x1.310208e2a007dp-5",
+    "0x1.ec25f345ad9edp-6", "0x1.85977fa8f3783p-6", "0x1.2cea707f54a1cp-6", "0x1.b5326f0527bdep-7",
+    "0x1.21725d34d1c50p-7", "0x1.b9765376efb88p-8", "0x1.fb323c59696afp-9", "0x1.c037da4e2c109p-11",
+    )
+
+    def test_pinned_spectrum_through_the_blocked_inverse(self):
+        U, V = simulate_spiked_panels(40, 45, 200, [0.5], Seed(11))
+        assert tuple(float(x).hex() for x in sample_spectrum(U, V)) == self.PINNED_40x45x200
+
+
+class TestPanelScale:
+    """CCA is invariant under U -> cU; the kernel divides each panel by a power of two before its Gram."""
+
+    @staticmethod
+    def panels():
+        rng = np.random.default_rng(1)
+        return rng.standard_normal((3, 40)), rng.standard_normal((2, 40))
+
+    def test_a_power_of_two_moves_no_bit(self):
+        u, v = self.panels()
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        assert np.abs(u).min() * 2.0**-1000 >= tiny and np.abs(u).max() * 2.0**1000 < huge  # every 2^k U is normal
+        V = DataPanel(v)
+        base, spectrum = sample_cca(DataPanel(u), V), sample_spectrum(DataPanel(u), V)
+        for k in range(-1000, 1001):
+            U = DataPanel(np.ldexp(u, k))
+            cs = sample_cca(U, V)
+            assert cs.correlations_sq.tobytes() == base.correlations_sq.tobytes(), k
+            assert sample_spectrum(U, V).tobytes() == spectrum.tobytes(), k
+            assert np.array_equal(cs.alphas, np.ldexp(base.alphas, -k)), k
+            assert np.array_equal(cs.betas, base.betas), k
+
+    @pytest.mark.parametrize("c", [1e160, 1e200, 1e-160, 1e-162, 1e-200])
+    def test_far_scales_read_the_unscaled_correlations(self, c):
+        # unscaled Grams overflow past about 1e154 and leave the normal range below about 1e-154
+        u, v = self.panels()
+        U, V = DataPanel(u * c), DataPanel(v)
+        np.testing.assert_array_max_ulp(sample_spectrum(U, V), sample_spectrum(DataPanel(u), V), maxulp=4)
+        cs, base = sample_cca(U, V), sample_cca(DataPanel(u), V)
+        np.testing.assert_array_max_ulp(cs.correlations_sq, base.correlations_sq, maxulp=4)
+        np.testing.assert_allclose(cs.alphas * c, base.alphas, rtol=1e-12)
+        e1 = np.eye(3)[0]
+        angle = alignment_angle(DataPanel(u), e1, base.alphas[0])
+        assert alignment_angle(U, e1, cs.alphas[0]) == pytest.approx(angle)
+
+    def test_a_subnormal_panel_gives_its_spectrum_but_not_its_vectors(self):
+        u, v = self.panels()
+        U, V = DataPanel(u * 1e-310), DataPanel(v)
+        np.testing.assert_allclose(sample_spectrum(U, V), sample_spectrum(DataPanel(u), V), rtol=1e-12)
+        with pytest.raises(RankDeficient, match=r"overflow at panel scales 2\^-1028, 2\^2$"):
+            sample_cca(U, V)
+
+    def test_a_nan_row_share_is_rank_deficient(self):
+        # an infinite Gram diagonal factors without error and reads share inf / inf
+        with np.errstate(invalid="ignore"), pytest.raises(RankDeficient, match="smallest row share nan"):
+            _checked_cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1e-10, "U")

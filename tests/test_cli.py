@@ -657,6 +657,7 @@ class TestBadInput:
             (["independence", "--regime", "small", "--alpha", "1.5"], "InvalidParams"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "3"], "InvalidParams"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "0"], "InvalidParams"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--bins", "100000000000"], "InvalidParams"),
             (["cca", "--output", "{dir}"], "IsADirectoryError"),
             (["simulate", "var1", "--k", "2", "--t", "5", "--output", "{dir}"], "IsADirectoryError"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--output", "{dir}"], "IsADirectoryError"),
@@ -683,7 +684,8 @@ class TestBadInput:
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
-             "alpha-range", "bins-floor", "zero-bins", "cca-output-dir", "simulate-output-dir", "histogram-output-dir",
+             "alpha-range", "bins-floor", "zero-bins", "bins-ceiling", "cca-output-dir", "simulate-output-dir",
+             "histogram-output-dir",
              "tabulate-output-under-file", "cache-dir-is-file",
              "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale",
              "nan-pi-scale", "inf-pi-scale", "nan-tol", "negative-tol", "explosive-var"],
@@ -720,6 +722,24 @@ class TestBadInput:
         err = error_of(capsys)
         assert err["error"] == "InvalidParams"
         assert "alpha must lie in (0, 1)" in err["message"]
+        assert not any(cache.iterdir())
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.5"])
+    @pytest.mark.parametrize(
+        "command",
+        [["independence", "--regime", "small", "--u", "{missing}", "--v", "{missing}"],
+         ["coint", "--regime", "large", "--input", "{missing}"]],
+        ids=["independence", "coint"],
+    )
+    def test_level_at_or_below_one_half_fails_before_any_work(self, tmp_path, capsys, command, alpha):
+        # --alpha is the confidence level: --alpha 0.05 would run a test of size 0.95
+        missing, cache = tmp_path / "missing.csv", tmp_path / "cache"
+        cache.mkdir()
+        argv = [*(a.format(missing=missing) for a in command), "--alpha", alpha]
+        assert main([*argv, "--table-cache-dir", str(cache)]) == 2
+        err = error_of(capsys)
+        assert err["error"] == "InvalidParams"
+        assert err["message"] == f"alpha is the confidence level 1 - size, got {alpha}"
         assert not any(cache.iterdir())
 
     VAR1_K60 = ["var1", "--k", "60", "--t", "100", "--output", "{dir}/ts.csv"]
@@ -961,6 +981,37 @@ def hdcca_process(argv, cwd):
     """``python -m hdcca`` in a fresh interpreter, where a regime warning prints rather than raises."""
     env = {**os.environ, "PYTHONPATH": str(Path(hyptest.__file__).parent.parent)}
     return subprocess.run([sys.executable, "-m", "hdcca", *argv], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+class TestPanelScale:
+    """The kernel reads no panel scale: a far-scaled panel keeps its decision, and a panel too small for
+    its canonical vectors is one error line that names its scale."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("scaled")
+        assert main(["simulate", "panels", "--k", "2", "--m", "3", "--s", "200", "--rho2", "0.9", "--seed", "4",
+                     "--output-u", str(d / "u.csv"), "--output-v", str(d / "v.csv")]) == 0
+        u = load_panel_csv(d / "u.csv").values
+        for name, c in (("u_big.csv", 1e160), ("u_subnormal.csv", 1e-310)):
+            save_panel_csv(d / name, DataPanel(u * c))
+        return d
+
+    @pytest.mark.parametrize("u", ["u.csv", "u_big.csv"])
+    def test_far_scaled_panel_keeps_its_rejection(self, workdir, u):
+        # U times 1e160 overflows unscaled Grams, which read statistic 0.0 and fail to reject
+        proc = hdcca_process(["independence", "--regime", "small", "--nsamples", "2000", "--u", u, "--v", "v.csv",
+                              "--table-cache-dir", "cache"], workdir)
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert json.loads(proc.stdout)["statistic"] > 100
+
+    def test_subnormal_panel_names_its_scale(self, workdir):
+        proc = hdcca_process(["cca", "--u", "u_subnormal.csv", "--v", "v.csv"], workdir)
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "RankDeficient"
+        assert "canonical vectors overflow at panel scales 2^-10" in err["message"]
 
 
 class TestRegimeWarning:

@@ -196,6 +196,22 @@ class TestDecisionRule:
         assert past.threshold == np.nextafter(statistic, math.copysign(math.inf, -scale))
         assert past.decision == "reject"
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    @pytest.mark.parametrize(
+        "test",
+        [
+            lambda alpha: independence_test_small(*_panels(3, 2, 60), alpha, RecordingStore()),
+            lambda alpha: independence_test_large(*_panels(60, 50, 300), alpha, RecordingStore()),
+            lambda alpha: coint_test_small(_series(3, 100), 2, alpha, RecordingStore()),
+            lambda alpha: coint_test_large(_series(3, 100), 2, alpha, RecordingStore()),
+        ],
+        ids=["independence_small", "independence_large", "coint_small", "coint_large"],
+    )
+    def test_a_level_at_or_below_one_half_is_refused(self, test, alpha):
+        # alpha is the confidence level 1 - size: 0.05 would run a test of size 0.95
+        with pytest.raises(InvalidParams, match=r"alpha is the confidence level 1 - size, got 0\.5?"):
+            test(alpha)
+
 
 class TestTabulateLaguerreMax:
     def test_scalar_case_matches_chi_squared_quantiles(self):
