@@ -5,8 +5,7 @@ Subcommands: ``cca`` (correlations from two CSV panels), ``histogram``
 ``independence`` and ``coint`` (hypothesis tests), ``simulate panels|var1``
 (synthetic data) and ``tabulate laguerre-max|airy1-sum|brownian-coint``
 (quantile tables).  Each command and kind declares exactly the options it
-reads, so the parser rejects any other; a test also refuses a table option
-that the table it asks for does not read (:class:`_Store`).
+reads, so the parser rejects any other.
 
 Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error or a path
 that cannot be read or written (one-line ``hdcca.error/1`` JSON on stderr).
@@ -14,12 +13,13 @@ Reports are JSON on stdout or ``--output``; pass ``--no-timestamp`` for
 byte-identical reruns.  Quantile tables live in one on-disk store
 (:func:`_table`), one file per identity (statistic, parameters, nsamples,
 seed), checked on every read; a table keeps its draws, so one file serves
-every ``--alpha``.  A test names its table and asks for it (:class:`_Store`)
-only after its input passes, so a bad input builds and stores no table; its
-regime warning (:func:`hyptest._decide`) comes once it holds the table, so a
-refused table prints just the error line.  ``tabulate`` without ``--output``
-pre-warms the store, in the cache directory ``--table-cache-dir``, else
-``$HDCCA_TABLE_DIR``, else ``$XDG_CACHE_HOME/hdcca``, else ``~/.cache/hdcca``.
+every ``--alpha``.  A test names its table and asks the store for it
+(:class:`_Store`) only after its input passes, so a bad input builds and
+stores no table; its regime warning (:func:`hyptest._decide`) is shown
+once its report is written, so a refused table or a failed write prints
+just the error line.  ``tabulate`` pre-warms the store, in the cache
+directory ``--table-cache-dir``, else ``$HDCCA_TABLE_DIR``, else
+``$XDG_CACHE_HOME/hdcca``, else ``~/.cache/hdcca``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +52,9 @@ EXIT_REJECT = 3
 REPORT_SCHEMA = "hdcca.report/1"
 CCA_SCHEMA = "hdcca.cca/1"
 DEFAULT_NSAMPLES = 10_000
-DEFAULT_SIM_SIZE = 100
-# The options a test reads only to find its stored table, each with the value it takes when omitted.
-_STORE_DEFAULTS = {
-    "nsamples": DEFAULT_NSAMPLES, "seed": 0, "stream": 0, "sim_size": DEFAULT_SIM_SIZE, "table_cache_dir": None,
-}
+DEFAULT_SIM_SIZE = 100  # the spectrum size of every stored Airy_1 table
 # A token that is a negative number is an option's value; argparse's own matcher misses -1e-3 and -inf.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
-
-
-def _seed(args) -> Seed:
-    return Seed(args.seed, args.stream)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -78,10 +71,10 @@ def _emit(doc: dict, args) -> None:
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
 
 
-# Each table kind, once: statistic id -> (its identity's keys, each an option of `tabulate <kind>`,
-# and its tabulator of (params, nsamples, seed); the unused levels slot gets (), the unused Brownian
-# grid slot None).  A tabulator looks its function up in the module at call time, so a wrapper
-# installed on the module (the benchmark's tracer) sees every build.
+# Each table kind, once: statistic id -> (its identity's keys, each an option of `tabulate <kind>` but
+# sim_size, which `_add_store` fixes, and its tabulator of (params, nsamples, seed); the unused levels
+# slot gets (), the unused Brownian grid slot None).  A tabulator looks its function up in the module
+# at call time, so a wrapper installed on the module (the benchmark's tracer) sees every build.
 _KINDS = {
     STATISTIC_LAGUERRE_MAX: (
         ("K", "M"), lambda p, n, seed: hyptest.tabulate_laguerre_max(p["K"], p["M"], (), n, seed)
@@ -95,14 +88,9 @@ _KINDS = {
 }
 
 
-def _tabulate(args, statistic_id: str, params: dict) -> QuantileTable:
-    """A freshly built table; ``--no-timestamp`` leaves out its build time."""
-    table = _KINDS[statistic_id][1](params, args.nsamples, _seed(args))
-    return dataclasses.replace(table, built_at=None) if args.no_timestamp else table
-
-
 def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
-    """The stored table with this identity, tabulated and stored on a miss.
+    """The stored table with this identity, tabulated from stream 0 of ``--seed`` and stored on a
+    miss (``--no-timestamp`` leaves out its build time).
 
     The file name is the statistic plus the first 24 hex digits of the
     sha256 of the identity; a stored table that does not carry the
@@ -113,7 +101,7 @@ def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
         or os.environ.get("HDCCA_TABLE_DIR")
         or Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "hdcca"
     )
-    seed = _seed(args)
+    seed = Seed(args.seed)
     key = json.dumps(
         {"statistic": statistic_id, "params": params, "nsamples": args.nsamples, "seed": [seed.value, seed.stream]},
         sort_keys=True,
@@ -130,40 +118,30 @@ def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
             return table.require(statistic_id, **params), path
         except TableMismatch as e:
             raise TableMismatch(f"{path}: stored {e}") from None
-    table = _tabulate(args, statistic_id, params)
+    table = _KINDS[statistic_id][1](params, args.nsamples, seed)
+    if args.no_timestamp:
+        table = dataclasses.replace(table, built_at=None)
     table.save(path)
     return table, path
 
 
 @dataclasses.dataclass(frozen=True)
 class _Store:
-    """Where a test, once its input has passed, asks for its table: the ``--table`` file, else
-    the stored table, whose identity takes from its option each key the test does not name.
-
-    A store option given (not None) that the table does not read is InputFormatError, before
-    any table is read or built: each of them next to ``--table``, ``--sim-size`` for a kind
-    whose identity lacks it.  An omitted one takes its value from ``_STORE_DEFAULTS``.
-    """
+    """Where a test, once its input has passed, asks for its stored table: the identity takes from
+    the options each key the test does not name (an Airy_1 table's ``sim_size``)."""
 
     args: argparse.Namespace
 
     def require(self, statistic_id: str, **params) -> QuantileTable:
-        args, identity = self.args, _KINDS[statistic_id][0]
-        unread = [f"--{name.replace('_', '-')}" for name in _STORE_DEFAULTS if getattr(args, name) is not None
-                  and (args.table or (name == "sim_size" and name not in identity))]
-        if unread:
-            call = f"{args.command} --regime {args.regime}" + (" --table" if args.table else "")
-            raise InputFormatError(f"{call} does not read {', '.join(unread)}")
-        if args.table:
-            return QuantileTable.load(args.table).require(statistic_id, **params)
-        given = vars(args)
-        args = argparse.Namespace(**{**given, **{k: d for k, d in _STORE_DEFAULTS.items() if given[k] is None}})
-        params.update({k: getattr(args, k) for k in identity if k not in params})
-        return _table(args, statistic_id, params)[0]
+        params.update({k: getattr(self.args, k) for k in _KINDS[statistic_id][0] if k not in params})
+        return _table(self.args, statistic_id, params)[0]
 
 
-def _emit_report(args, report) -> int:
+def _emit_report(args, report, warned: list) -> int:
+    """Write the report, then show the test's `warned` regime warnings, so a failed write prints one line."""
     _emit({"schema": REPORT_SCHEMA, "command": args.command, **report.to_json_dict()}, args)
+    for w in warned:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return EXIT_REJECT if report.rejected else EXIT_OK
 
 
@@ -212,26 +190,30 @@ def cmd_independence(args) -> int:
     U = dataio.load_panel_csv(args.u)
     V = dataio.load_panel_csv(args.v)
     test = hyptest.independence_test_small if args.regime == "small" else hyptest.independence_test_large
-    return _emit_report(args, test(U, V, args.alpha, _Store(args)))
+    with warnings.catch_warnings(record=True) as warned:
+        report = test(U, V, args.alpha, _Store(args))
+    return _emit_report(args, report, warned)
 
 
 def cmd_coint(args) -> int:
     hyptest.check_test_level(args.alpha)
     X = dataio.load_timeseries_csv(args.input)
     test = cointegration.coint_test_small if args.regime == "small" else cointegration.coint_test_large
-    return _emit_report(args, test(X, args.r, args.alpha, _Store(args)))
+    with warnings.catch_warnings(record=True) as warned:
+        report = test(X, args.r, args.alpha, _Store(args))
+    return _emit_report(args, report, warned)
 
 
 def cmd_simulate_panels(args) -> int:
     rho2s = _floats(args.rho2, "--rho2") if args.rho2 else []
-    U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, _seed(args))
+    U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, Seed(args.seed, args.stream))
     dataio.save_panel_csv(args.output_u, U)
     dataio.save_panel_csv(args.output_v, V)
     return EXIT_OK
 
 
 def cmd_simulate_var1(args) -> int:
-    seed = _seed(args)
+    seed = Seed(args.seed, args.stream)
     if args.pi_corner:
         if args.k < 1:
             raise DimensionMismatch(f"--pi-corner needs --k >= 1, got {args.k}")
@@ -247,12 +229,7 @@ def cmd_simulate_var1(args) -> int:
 
 def cmd_tabulate(args) -> int:
     params = {name: getattr(args, name) for name in _KINDS[args.statistic_id][0]}
-    if args.output:
-        _tabulate(args, args.statistic_id, params).save(args.output)
-        path = args.output
-    else:
-        path = _table(args, args.statistic_id, params)[1]
-    sys.stdout.write(f"{path}\n")
+    sys.stdout.write(f"{_table(args, args.statistic_id, params)[1]}\n")
     return EXIT_OK
 
 
@@ -285,19 +262,18 @@ def _add_report(p: argparse.ArgumentParser) -> None:
 
 
 def _add_store(p: argparse.ArgumentParser) -> None:
-    _add_seed(p)
-    _add_report(p)
+    """The options that name a stored table; an Airy_1 table's sim_size is DEFAULT_SIM_SIZE, no option."""
+    p.add_argument("--seed", type=int, default=0, help="RNG seed value of a table (drawn from stream 0)")
     p.add_argument("--table-cache-dir", help="quantile table cache directory")
     p.add_argument("--nsamples", type=int, default=DEFAULT_NSAMPLES, help="Monte Carlo draws of a table")
+    p.set_defaults(sim_size=DEFAULT_SIM_SIZE)
 
 
 def _add_test_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.95, help="confidence level 1 - size, in (0.5, 1)")
     p.add_argument("--regime", choices=("small", "large"), required=True)
-    p.add_argument("--table", help="quantile table JSON (tabulated on demand if omitted)")
-    p.add_argument("--sim-size", type=int, help=f"spectrum size of an Airy_1 table (default {DEFAULT_SIM_SIZE})")
     _add_store(p)
-    p.set_defaults(seed=None, stream=None, nsamples=None)  # None marks an option not given (see _Store)
+    _add_report(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,19 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tabulate", help="build a Monte Carlo quantile table")
     kinds = p.add_subparsers(dest="statistic", required=True)
-    # each kind declares the keys of its table identity: key -> (option, add_argument kwargs)
+    # each kind declares the keys of its table identity: key -> (option, add_argument kwargs); sim_size has none
     options = {
         "K": ("--k", dict(type=int, required=True, help="panel dimension")),
         "M": ("--m", dict(type=int, required=True, help="second dimension")),
         "r": ("--r", dict(type=int, default=1, help="number of top coordinates summed")),
-        "sim_size": ("--sim-size", dict(type=int, default=DEFAULT_SIM_SIZE, help="internal spectrum size")),
     }
     for statistic_id, (identity, _) in _KINDS.items():
         kind = statistic_id.lower().replace("_", "-")
         p = kinds.add_parser(kind, help=f"the {kind} table")
         for name in identity:
-            p.add_argument(options[name][0], dest=name, **options[name][1])
+            if name in options:
+                p.add_argument(options[name][0], dest=name, **options[name][1])
         _add_store(p)
+        p.add_argument("--no-timestamp", action="store_true", help="omit the build time for byte-identical tables")
         p.set_defaults(func=cmd_tabulate, statistic_id=statistic_id)
 
     return parser

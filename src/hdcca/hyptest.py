@@ -256,6 +256,8 @@ def tabulate_airy1_sums(
     """
     if sim_size < 100:
         raise InvalidParams(f"sim_size must be >= 100, got {sim_size}")
+    if not 1 <= r_max <= sim_size:
+        raise InvalidParams(f"need 1 <= r <= sim_size, got r={r_max}, sim_size={sim_size}")
     K, M, S = sim_size, int(round(m_ratio * sim_size)), int(round(s_ratio * sim_size))
     law = WachterParams.from_dimensions(K, M, S)
     top = manova_spectra(K, M, S - M, nsamples, seed, top=r_max)[:, ::-1]  # summed largest first

@@ -33,8 +33,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, tmp_path):
-    # the commands that read the table store; a test given --table reads no store
-    if args[0] in ("independence", "coint", "tabulate") and "--table" not in args:
+    # the commands that read the table store
+    if args[0] in ("independence", "coint", "tabulate"):
         args = [*args, "--table-cache-dir", str(tmp_path / "cache")]
     return main(args)
 
@@ -292,29 +292,25 @@ class TestPipelines:
         assert capsys.readouterr().err == ""
         assert np.abs(load_timeseries_csv(tmp_path / "ts.csv").X).max() > 1e200
 
-    def test_tabulate_round_trip(self, tmp_path):
-        out = tmp_path / "table.json"
-        code = run_cli(
-            ["tabulate", "laguerre-max", "--k", "2", "--m", "3",
-             "--nsamples", "2000", "--seed", "7",
-             "--no-timestamp", "--output", str(out)],
-            tmp_path,
-        )
-        assert code == 0
-        table = QuantileTable.load(out)
+    def test_tabulate_round_trip(self, tmp_path, capsys):
+        store = ["--nsamples", "2000", "--seed", "7", "--no-timestamp"]
+        assert run_cli(["tabulate", "laguerre-max", "--k", "2", "--m", "3", *store], tmp_path) == 0
+        stored = Path(capsys.readouterr().out.strip())
+        table = QuantileTable.load(stored)
         assert table.params == {"K": 2, "M": 3}
-        u, v = tmp_path / "u.csv", tmp_path / "v.csv"
+        u, v, out = tmp_path / "u.csv", tmp_path / "v.csv", tmp_path / "r.json"
         run_cli(
             ["simulate", "panels", "--k", "2", "--m", "3", "--s", "200", "--seed", "8",
              "--output-u", str(u), "--output-v", str(v)],
             tmp_path,
         )
         code = run_cli(
-            ["independence", "--u", str(u), "--v", str(v), "--regime", "small",
-             "--table", str(out), "--no-timestamp"],
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", *store, "--output", str(out)],
             tmp_path,
         )
         assert code in (0, 3)
+        assert json.loads(out.read_text())["threshold"] == table.threshold_for(0.95)
+        assert list((tmp_path / "cache").iterdir()) == [stored]
 
     def test_planted_signal_pipeline_rejects(self, tmp_path):
         u, v = tmp_path / "u.csv", tmp_path / "v.csv"
@@ -447,9 +443,9 @@ class TestTableStore:
         assert len(list((tmp_path / "cache").iterdir())) == 2
 
     def test_file_name_is_the_identity_digest(self, tmp_path, capsys):
-        # K=2, M=3, nsamples 200, seed 0/0: pinned, because a change to the
+        # K=2, M=3, nsamples 200, seed 0 (stream 0): pinned, because a change to the
         # digest leaves every stored table unread.
-        argv = [*self.TABULATE_23, "--seed", "0", "--stream", "0"]
+        argv = [*self.TABULATE_23, "--seed", "0"]
         assert run_cli(argv, tmp_path) == 0
         path = Path(capsys.readouterr().out.strip())
         assert path.name == self.PINNED_NAME
@@ -463,22 +459,10 @@ class TestTableStore:
         assert path.read_bytes() == (DATA / path.name).read_bytes()
 
     def test_brownian_file_name_is_the_identity_digest(self, tmp_path, capsys):
-        # K=2, r=1, nsamples 200, seed 0/0: pinned like the Laguerre name above
-        argv = ["tabulate", "brownian-coint", "--k", "2", "--nsamples", "200", "--seed", "0", "--stream", "0"]
+        # K=2, r=1, nsamples 200, seed 0 (stream 0): pinned like the Laguerre name above
+        argv = ["tabulate", "brownian-coint", "--k", "2", "--nsamples", "200", "--seed", "0"]
         assert run_cli(argv, tmp_path) == 0
         assert Path(capsys.readouterr().out.strip()).name == self.BROWNIAN_PINNED_NAME
-
-    @pytest.mark.parametrize(
-        "kind", [["laguerre-max", "--k", "2", "--m", "3"], ["airy1-sum"], ["brownian-coint", "--k", "2"]],
-        ids=["laguerre-max", "airy1-sum", "brownian-coint"],
-    )
-    def test_output_writes_the_bytes_the_store_holds(self, tmp_path, capsys, kind):
-        argv = ["tabulate", *kind, "--nsamples", "100", "--no-timestamp"]
-        assert run_cli(argv, tmp_path) == 0
-        stored = Path(capsys.readouterr().out.strip())
-        out = tmp_path / "t.json"
-        assert run_cli([*argv, "--output", str(out)], tmp_path) == 0
-        assert out.read_bytes() == stored.read_bytes()
 
     @pytest.mark.parametrize(
         "tabulate, test",
@@ -492,8 +476,8 @@ class TestTableStore:
         ids=["laguerre-max", "brownian-coint", "airy1-sum"],
     )
     def test_omitted_options_name_the_table_tabulate_stores(self, tmp_path, capsys, tabulate, test):
-        # a test given no --nsamples, --seed, --stream or --sim-size reads the table of tabulate's
-        # defaults (10,000 draws, seed 0/0, sim_size 100) and builds no other
+        # a test given no --nsamples or --seed reads the table of tabulate's defaults
+        # (10,000 draws, seed 0, stream 0, sim_size 100) and builds no other
         u, v = small_panels(tmp_path)
         ts = tmp_path / "ts.csv"
         assert run_cli(["simulate", "var1", "--k", "2", "--t", "50", "--output", str(ts)], tmp_path) == 0
@@ -548,7 +532,7 @@ class TestTableStore:
         simulate, test = ([a.format(dir=tmp_path) for a in argv] for argv in (simulate, test))
         assert run_cli(["simulate", *simulate], tmp_path) == 0
         out = tmp_path / "report.json"
-        argv = [*test, "--regime", "large", "--sim-size", "100", "--nsamples", "200", "--output", str(out)]
+        argv = [*test, "--regime", "large", "--nsamples", "200", "--output", str(out)]
         assert run_cli(argv, tmp_path) in (0, 3)
         doc = json.loads(out.read_text())
         assert doc["schema"] == "hdcca.report/1"
@@ -584,6 +568,10 @@ class TestTableStore:
 # Each command or kind, called so that it succeeds, and the options it does not read.
 UNREAD_BASE = {
     "cca": ["cca", "--u", "{u}", "--v", "{v}", "--output", "{out}/cca.json"],
+    "independence": ["independence", "--u", "{u}", "--v", "{v}", "--regime", "small", "--nsamples", "50",
+                     "--table-cache-dir", "{cache}", "--output", "{out}/r.json"],
+    "coint": ["coint", "--input", "{ts}", "--regime", "small", "--nsamples", "50", "--table-cache-dir", "{cache}",
+              "--output", "{out}/r.json"],
     "histogram": ["histogram", "--spectrum", "{spec}", "--tau-k", "5", "--tau-m", "3", "--output", "{out}/h.csv"],
     "simulate panels": ["simulate", "panels", "--k", "2", "--m", "3", "--s", "20",
                         "--output-u", "{out}/u.csv", "--output-v", "{out}/v.csv"],
@@ -596,40 +584,26 @@ UNREAD_BASE = {
 }
 UNREAD = {
     "cca": ["--seed", "--stream", "--table-cache-dir"],
+    "independence": ["--table", "--stream", "--sim-size"],
+    "coint": ["--table", "--stream", "--sim-size"],
     "histogram": ["--seed", "--stream", "--no-timestamp", "--table-cache-dir"],
     "simulate panels": ["--t", "--pi-rank", "--pi-scale", "--pi-corner", "--output", "--no-timestamp",
                         "--table-cache-dir"],
     "simulate var1": ["--m", "--s", "--rho2", "--output-u", "--output-v", "--no-timestamp", "--table-cache-dir"],
-    "tabulate laguerre-max": ["--r", "--sim-size"],
-    "tabulate airy1-sum": ["--k", "--m"],
-    "tabulate brownian-coint": ["--m", "--sim-size"],
+    "tabulate laguerre-max": ["--r", "--sim-size", "--output", "--stream"],
+    "tabulate airy1-sum": ["--k", "--m", "--sim-size", "--output", "--stream"],
+    "tabulate brownian-coint": ["--m", "--sim-size", "--output", "--stream"],
 }
 UNREAD_VALUES = {
     "--no-timestamp": [], "--pi-corner": [], "--table-cache-dir": ["{cache}"], "--output": ["{out}/x"],
     "--output-u": ["{out}/u2.csv"], "--output-v": ["{out}/v2.csv"], "--rho2": ["0.5"], "--pi-scale": ["-1"],
+    "--table": ["{out}/table.json"],
 }
 UNREAD_CASES = [
     *((command, [option, *UNREAD_VALUES.get(option, ["2"])], "InputFormatError")
       for command, options in UNREAD.items() for option in options),
     ("histogram", ["--coint-tau", "3"], "InputFormatError"),  # a ratio pair and --coint-tau together
 ]
-# A test called so that it succeeds, and the table options its table does not read: --sim-size
-# to a small-regime table, and every store option next to --table.
-TABLE_UNREAD_BASE = {
-    "independence": ["independence", "--u", "{u}", "--v", "{v}", "--regime", "small", "--nsamples", "50",
-                     "--table-cache-dir", "{cache}", "--output", "{out}/r.json"],
-    "coint": ["coint", "--input", "{ts}", "--regime", "small", "--nsamples", "50", "--table-cache-dir", "{cache}",
-              "--output", "{out}/r.json"],
-    "independence --table": ["independence", "--u", "{u}", "--v", "{v}", "--regime", "small", "--table", "{table}",
-                             "--output", "{out}/r.json"],
-}
-TABLE_UNREAD_CASES = [
-    ("independence", ["--sim-size", "7"]),
-    ("coint", ["--sim-size", "7"]),
-    *(("independence --table", option) for option in (["--nsamples", "50"], ["--seed", "1"], ["--stream", "1"],
-                                                       ["--sim-size", "7"], ["--table-cache-dir", "{cache}"])),
-]
-
 
 class TestBadInput:
     """Each bad input exits 2 with one line of hdcca.error/1 JSON on stderr."""
@@ -662,7 +636,7 @@ class TestBadInput:
             (["simulate", "var1", "--k", "2", "--t", "5", "--output", "{dir}"], "IsADirectoryError"),
             (["histogram", "--tau-k", "5", "--tau-m", "3.4", "--output", "{dir}"], "IsADirectoryError"),
             (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
-              "--output", "{file}/t.json"], "FileExistsError"),
+              "--table-cache-dir", "{file}/t"], "NotADirectoryError"),
             (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
               "--table-cache-dir", "{file}"], "FileExistsError"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "-5"], "DimensionMismatch"),
@@ -679,6 +653,16 @@ class TestBadInput:
             (["cca", "--tol", "-1"], "InvalidParams"),
             (["simulate", "var1", "--k", "2", "--t", "2000", "--pi-rank", "1", "--pi-scale", "5"],
              "InvalidParams"),
+            (["tabulate", "airy1-sum", "--r", "0"], "InvalidParams"),
+            (["coint", "--regime", "small", "--input", "{tmp}/t.csv"], "InputFormatError"),
+            (["tabulate", "laguerre-max", "--k", "3", "--m", "2"], "InvalidParams"),
+            (["tabulate", "brownian-coint", "--k", "2", "--r", "3"], "InvalidParams"),
+            (["simulate", "panels", "--k", "1", "--m", "1", "--s", "10", "--rho2", "0.5,0.5"], "DimensionMismatch"),
+            (["histogram", "--tau-k", "inf", "--tau-m", "3"], "InvalidParams"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum", "{tmp}/high.json"], "InputFormatError"),
+            (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum", "{tmp}/ascending.json"], "InputFormatError"),
+            (["simulate", "var1", "--k", "2", "--t", "1"], "DimensionMismatch"),
+            (["simulate", "var1", "--k", "2", "--t", "10", "--pi-rank", "3"], "DimensionMismatch"),
         ],
         ids=["seed", "stream", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
@@ -688,19 +672,24 @@ class TestBadInput:
              "histogram-output-dir",
              "tabulate-output-under-file", "cache-dir-is-file",
              "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale",
-             "nan-pi-scale", "inf-pi-scale", "nan-tol", "negative-tol", "explosive-var"],
+             "nan-pi-scale", "inf-pi-scale", "nan-tol", "negative-tol", "explosive-var", "airy-r-zero",
+             "series-without-variables", "laguerre-k-above-m", "brownian-r-above-k", "rho2-count-above-min-k-m",
+             "infinite-tau", "spectrum-above-one", "ascending-spectrum", "horizon-one", "pi-rank-above-k"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_text("")
-        argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in argv]
+        (tmp_path / "t.csv").write_text("t\n0\n1\n2\n")
+        for name, values in (("high", [1.5, 0.2]), ("ascending", [0.2, 0.5])):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"schema": SPECTRUM_SCHEMA, "values": values}))
+        argv = [a.format(dir=tmp_path / "dir", file=tmp_path / "file", tmp=tmp_path) for a in argv]
         if argv[0] == "simulate":
             outputs = ["--output"] if argv[1] == "var1" else ["--output-u", "--output-v"]
             argv = [*argv, *(f"{o}={tmp_path / o.lstrip('-')}" for o in outputs if o not in argv)]
         if argv[0] in ("independence", "cca"):
             u, v = small_panels(tmp_path)
             argv = [*argv, "--u", str(u), "--v", str(v)]
-        if argv[0] == "histogram":
+        if argv[0] == "histogram" and "--spectrum" not in argv:
             save_spectrum_json(tmp_path / "spec.json", Spectrum(np.array([0.5, 0.2])))
             argv = [*argv, "--spectrum", str(tmp_path / "spec.json")]
         code = main(argv) if "--table-cache-dir" in argv else run_cli(argv, tmp_path)
@@ -758,9 +747,11 @@ class TestBadInput:
             (VAR1_K60, [*COINT, "--regime", "large"], "InvalidRegime", "need T > 2K, got K=60, T=100"),
             (PANELS_40_50_80, [*INDEPENDENCE, "--regime", "small"], "TooFewObservations", "K + M = 90 > S = 80"),
             (VAR1_K3, [*COINT, "--regime", "small", "--r", "5"], "DimensionMismatch", "0 <= r <= 3, got 5"),
+            (VAR1_K3, [*COINT, "--regime", "large", "--r", "0"], "InvalidParams", "need 1 <= r <= sim_size, got r=0"),
         ],
         ids=["coint-small-t-below-2k", "coint-large-rank-above-k", "independence-large-outside-region",
-             "coint-large-t-below-2k", "independence-small-k-plus-m-above-s", "coint-small-rank-above-k"],
+             "coint-large-t-below-2k", "independence-small-k-plus-m-above-s", "coint-small-rank-above-k",
+             "coint-large-rank-zero"],
     )
     def test_bad_input_builds_no_table(self, tmp_path, capsys, simulate, test, error, message):
         # the test checks its input before it asks for a table, so nothing is tabulated or stored
@@ -796,10 +787,11 @@ class TestBadInput:
     def test_unread_option_is_refused(self, tmp_path, capsys, command, extra, error):
         # an option the command does not read exits 2 before any work; without it the call succeeds
         u, v = small_panels(tmp_path)
-        spec, out, cache = tmp_path / "spec.json", tmp_path / "out", tmp_path / "store"
+        spec, ts, out, cache = tmp_path / "spec.json", tmp_path / "ts.csv", tmp_path / "out", tmp_path / "store"
         save_spectrum_json(spec, Spectrum(np.array([0.5, 0.2])))
+        assert main(["simulate", "var1", "--k", "2", "--t", "50", "--output", str(ts)]) == 0
         out.mkdir()
-        fill = {"u": u, "v": v, "spec": spec, "out": out, "cache": cache}
+        fill = {"u": u, "v": v, "spec": spec, "ts": ts, "out": out, "cache": cache}
         base, extra = ([a.format(**fill) for a in argv] for argv in (UNREAD_BASE[command], extra))
         assert main([*base, *extra]) == 2
         err = error_of(capsys)
@@ -808,28 +800,6 @@ class TestBadInput:
         assert not any(out.iterdir()) and not cache.exists()
         assert main(base) == 0
         assert any(out.iterdir()) or any(cache.iterdir())
-
-    @pytest.mark.parametrize(
-        "command, extra", TABLE_UNREAD_CASES, ids=[f"{c.replace(' ', '')}{e[0]}" for c, e in TABLE_UNREAD_CASES]
-    )
-    def test_table_option_the_table_does_not_read_is_refused(self, tmp_path, capsys, command, extra):
-        # the option exits 2 naming itself, and no table is read, built or stored; without it the call succeeds
-        u, v = small_panels(tmp_path)
-        ts, table, out, cache = tmp_path / "ts.csv", tmp_path / "table.json", tmp_path / "out", tmp_path / "cache"
-        assert main(["simulate", "var1", "--k", "2", "--t", "50", "--output", str(ts)]) == 0
-        tabulate = ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50", "--output", str(table)]
-        assert main(tabulate) == 0
-        out.mkdir()
-        cache.mkdir()
-        fill = {"u": u, "v": v, "ts": ts, "table": table, "out": out, "cache": cache}
-        base, extra = ([a.format(**fill) for a in argv] for argv in (TABLE_UNREAD_BASE[command], extra))
-        assert main([*base, *extra]) == 2
-        err = error_of(capsys)
-        assert err["error"] == "InputFormatError"
-        assert f"does not read {extra[0]}" in err["message"]
-        assert not any(out.iterdir()) and not any(cache.iterdir())
-        assert main(base) in (0, 3)
-        assert (out / "r.json").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["cca", "--help"]], ids=["top", "cca"])
     def test_help_still_exits_zero(self, capsys, argv):
@@ -893,30 +863,28 @@ class TestBadInput:
         assert err["error"] == "InputFormatError"
         assert str(spec) in err["message"] and "finite" in err["message"]
 
+    def stored_table_test(self, tmp_path, data: bytes) -> tuple[list, Path]:
+        """A 2 x 3 small-regime test call, and its stored table's file, which holds `data`."""
+        u, v = small_panels(tmp_path)
+        table = tmp_path / "cache" / TestTableStore.PINNED_NAME
+        table.parent.mkdir(exist_ok=True)
+        table.write_bytes(data)
+        return ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--nsamples", "200"], table
+
     @pytest.mark.parametrize("text", ["not json", '{"version": 2}', "[1]"], ids=["text", "no-fields", "list"])
     def test_malformed_table_file(self, tmp_path, capsys, text):
-        u, v = small_panels(tmp_path)
-        table = tmp_path / "table.json"
-        table.write_text(text)
-        code = run_cli(
-            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--table", str(table)], tmp_path
-        )
-        assert code == 2
+        argv, table = self.stored_table_test(tmp_path, text.encode())
+        assert run_cli(argv, tmp_path) == 2
         err = error_of(capsys)
         assert err["error"] == "TableMismatch"
         assert str(table) in err["message"]
 
     def test_version_one_table_file(self, tmp_path, capsys):
-        u, v = small_panels(tmp_path)
-        table = tmp_path / "table.json"
-        table.write_text(json.dumps({
+        argv, table = self.stored_table_test(tmp_path, json.dumps({
             "version": 1, "statistic_id": "LAGUERRE_MAX", "params": {"K": 2, "M": 3},
             "seed": {"value": 0, "stream": 0}, "nsamples": 200, "entries": [{"alpha": 0.95, "q": 7.8}],
-        }))
-        code = run_cli(
-            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--table", str(table)], tmp_path
-        )
-        assert code == 2
+        }).encode())
+        assert run_cli(argv, tmp_path) == 2
         err = error_of(capsys)
         assert err["error"] == "TableMismatch"
         assert str(table) in err["message"] and "version 1" in err["message"]
@@ -939,16 +907,20 @@ class TestBadInput:
             (["cca", "--v", "{good}", "--u"], "InputFormatError", "{bad}: cannot read file"),
             (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum"], "InputFormatError",
              "{bad}: cannot parse spectrum JSON"),
-            (["independence", "--u", "{good}", "--v", "{good}", "--regime", "small", "--table"], "TableMismatch",
-             "{bad}: 'utf-8' codec can't decode byte 0xff"),
+            (None, "TableMismatch", "{bad}: 'utf-8' codec can't decode byte 0xff"),
         ],
         ids=["csv", "spectrum", "table"],
     )
     def test_file_that_is_not_utf8(self, tmp_path, capsys, command, error, message):
-        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        # None: the bytes are the stored table of a test call
+        good, bad, data = tmp_path / "good.csv", tmp_path / "bad.csv", b"a,b\n1.0,\xff\n"
         good.write_text("a,b,c\n1.0,2.0,4.0\n")
-        bad.write_bytes(b"a,b\n1.0,\xff\n")
-        assert run_cli([*(a.format(good=good) for a in command), str(bad)], tmp_path) == 2
+        if command is None:
+            argv, bad = self.stored_table_test(tmp_path, data)
+        else:
+            bad.write_bytes(data)
+            argv = [*(a.format(good=good) for a in command), str(bad)]
+        assert run_cli(argv, tmp_path) == 2
         err = error_of(capsys)
         assert err["error"] == error
         assert message.format(bad=bad) in err["message"]
@@ -968,8 +940,7 @@ class TestBadInput:
     def test_nsamples_that_do_not_fit_in_memory(self, tmp_path, capsys, nsamples):
         # the draws are allocated before any is made, so the refusal is immediate: 1e17 rows need
         # 1.4 EiB, and 1e19 rows exceed numpy's largest dimension
-        out = tmp_path / "t.json"
-        argv = ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", str(nsamples), "--output", str(out)]
+        argv = ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", str(nsamples)]
         assert run_cli(argv, tmp_path) == 2
         err = error_of(capsys)
         assert err["error"] == "InvalidParams"
@@ -1015,8 +986,9 @@ class TestPanelScale:
 
 
 class TestRegimeWarning:
-    """A test warns once its table is in hand: a warned decision prints the warning, attributed to the
-    CLI's call of the test, and a refused table prints only the one error line."""
+    """A test's regime warning shows once its report is written: a warned decision prints the warning,
+    attributed to the CLI's call of the test, and a refused table or a failed write prints only the one
+    error line."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -1026,9 +998,13 @@ class TestRegimeWarning:
         for argv in (["simulate", "panels", "--k", "10", "--m", "12", "--s", "100",
                       "--output-u", "{d}/u.csv", "--output-v", "{d}/v.csv"],
                      ["simulate", "var1", "--k", "40", "--t", "90", "--output", "{d}/ts.csv"],
+                     ["tabulate", "airy1-sum", "--nsamples", "50", "--table-cache-dir", "{d}/planted"],
                      ["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
-                      "--output", "{d}/lag.json"]):
+                      "--table-cache-dir", "{d}/planted"]):
             assert main([a.format(d=d) for a in argv]) == 0
+        # in the planted store, the r = 1 Airy_1 table's file holds the Laguerre table
+        [airy], [laguerre] = (list(d.glob(f"planted/{kind}-*.json")) for kind in ("airy1_sum", "laguerre_max"))
+        airy.write_bytes(laguerre.read_bytes())
         return d
 
     INDEPENDENCE = ["independence", "--u", "u.csv", "--v", "v.csv", "--regime", "large"]
@@ -1037,13 +1013,14 @@ class TestRegimeWarning:
     @pytest.mark.parametrize(
         "argv, error",
         [
-            ([*INDEPENDENCE, "--table", "lag.json"], "TableMismatch"),
-            ([*INDEPENDENCE, "--table", "lag.json", "--seed", "3"], "InputFormatError"),
+            ([*INDEPENDENCE, "--nsamples", "50", "--table-cache-dir", "planted"], "TableMismatch"),
             ([*INDEPENDENCE, "--nsamples", "-1", "--table-cache-dir", "cache"], "InvalidParams"),
-            ([*COINT, "--regime", "large", "--table", "lag.json"], "TableMismatch"),
+            ([*COINT, "--regime", "large", "--nsamples", "50", "--table-cache-dir", "planted"], "TableMismatch"),
+            ([*INDEPENDENCE, "--nsamples", "50", "--table-cache-dir", "cache", "--output", "nodir/r.json"],
+             "FileNotFoundError"),
         ],
-        ids=["independence-table-mismatch", "independence-seed-next-to-table", "independence-negative-nsamples",
-             "coint-table-mismatch"],
+        ids=["independence-table-mismatch", "independence-negative-nsamples", "coint-table-mismatch",
+             "independence-failed-write"],
     )
     def test_refused_table_prints_one_line(self, workdir, argv, error):
         proc = hdcca_process(argv, workdir)

@@ -308,7 +308,7 @@ class TestTabulateAiry1Sums:
     def test_any_r_up_to_the_simulated_size(self):
         assert tabulate_airy1_sums(11, (), 100, 20, Seed(0)).params["r"] == 11
         for r in (0, 101):
-            with pytest.raises(InvalidParams):
+            with pytest.raises(InvalidParams, match=f"need 1 <= r <= sim_size, got r={r}, sim_size=100"):
                 tabulate_airy1_sums(r, (), 100, 20, Seed(0))
 
     @pytest.mark.parametrize("ratios", [(1.5, 5.0), (1.99, 10.98)])
