@@ -12,20 +12,22 @@ that cannot be read or written (one-line ``hdcca.error/1`` JSON on stderr).
 Reports are JSON on stdout or ``--output``; pass ``--no-timestamp`` for
 byte-identical reruns.  Quantile tables live in one on-disk store
 (:func:`_table`), one file per identity (statistic, parameters, nsamples,
-seed), checked on every read; a table keeps its draws, so one file serves
-every ``--alpha``.  A test names its table and asks the store for it
-(:class:`_Store`) only after its input passes, so a bad input builds and
-stores no table; its regime warning (:func:`hyptest._decide`) is shown
-once its report is written, so a refused table or a failed write prints
-just the error line.  ``tabulate`` pre-warms the store, in the cache
-directory ``--table-cache-dir``, else ``$HDCCA_TABLE_DIR``, else
-``$XDG_CACHE_HOME/hdcca``, else ``~/.cache/hdcca``.
+seed), whose bytes that identity alone decides, checked on every read; a
+table keeps its draws, so one file serves every ``--alpha``.  A test names
+its table and asks the store for it (:class:`_Store`) only after its input
+passes, so a bad input builds and stores no table; its regime warning
+(:func:`hyptest._decide`) is shown once its report is written, so a
+refused table or a failed write prints just the error line.  ``tabulate``
+pre-warms the store, in the cache directory ``--table-cache-dir``, else
+``$HDCCA_TABLE_DIR``, else ``$XDG_CACHE_HOME/hdcca``, else
+``~/.cache/hdcca``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import datetime
 import hashlib
 import json
 import os
@@ -65,9 +67,9 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _emit(doc: dict, args) -> None:
-    """Write a JSON document, stamped with the time unless ``--no-timestamp``."""
+    """Write a JSON document, stamped with the UTC time (ISO 8601) unless ``--no-timestamp``."""
     if not args.no_timestamp:
-        doc["timestamp"] = hyptest._now()
+        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
 
 
@@ -90,7 +92,7 @@ _KINDS = {
 
 def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
     """The stored table with this identity, tabulated from stream 0 of ``--seed`` and stored on a
-    miss (``--no-timestamp`` leaves out its build time).
+    miss; its bytes depend on the identity alone, whichever command builds it.
 
     The file name is the statistic plus the first 24 hex digits of the
     sha256 of the identity; a stored table that does not carry the
@@ -119,8 +121,6 @@ def _table(args, statistic_id: str, params: dict) -> tuple[QuantileTable, Path]:
         except TableMismatch as e:
             raise TableMismatch(f"{path}: stored {e}") from None
     table = _KINDS[statistic_id][1](params, args.nsamples, seed)
-    if args.no_timestamp:
-        table = dataclasses.replace(table, built_at=None)
     table.save(path)
     return table, path
 
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
             if name in options:
                 p.add_argument(options[name][0], dest=name, **options[name][1])
         _add_store(p)
-        p.add_argument("--no-timestamp", action="store_true", help="omit the build time for byte-identical tables")
         p.set_defaults(func=cmd_tabulate, statistic_id=statistic_id)
 
     return parser

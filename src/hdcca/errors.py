@@ -90,3 +90,7 @@ class UnitCorrelation(HdccaError):
 
 class InputFormatError(HdccaError, ValueError):
     """Malformed input file; message carries the offending line number."""
+
+
+class NoSuchExport(HdccaError, AttributeError):
+    """The package exports no such name (an AttributeError, so ``hasattr`` and ``from hdcca import`` work)."""

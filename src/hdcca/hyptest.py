@@ -20,7 +20,6 @@ seed, so a fixed seed reproduces every table bit for bit.
 
 from __future__ import annotations
 
-import datetime
 import json
 import math
 import operator
@@ -52,15 +51,14 @@ class QuantileTable:
     One table serves every level: ``threshold_for(alpha)`` reads the
     alpha-quantile off the draws.  The tabulation is pinned by
     (statistic_id, params, nsamples = len(draws), seed), which also keys
-    the on-disk cache.  Ship tables with nsamples >= 10^4.  A table whose
-    ``built_at`` is None is written without that field.
+    the on-disk cache, and which alone decide its bytes: a table records
+    no build time.  Ship tables with nsamples >= 10^4.
     """
 
     statistic_id: str
     params: dict
     draws: tuple = field(repr=False)
     seed: Seed
-    built_at: str | None = None
 
     def __post_init__(self):
         draws = tuple(map(float, self.draws))
@@ -75,8 +73,8 @@ class QuantileTable:
 
     @classmethod
     def from_samples(cls, statistic_id: str, params: dict, samples, seed: Seed) -> "QuantileTable":
-        """Table of the Monte Carlo `samples`, stamped now."""
-        return cls(statistic_id, params, np.sort(samples).tolist(), seed, _now())
+        """Table of the Monte Carlo `samples`."""
+        return cls(statistic_id, params, np.sort(samples).tolist(), seed)
 
     def threshold_for(self, alpha: float) -> float:
         """``np.quantile(draws, alpha)`` bit for bit, read in O(1) off the sorted draws.
@@ -110,13 +108,12 @@ class QuantileTable:
             "seed": {"value": self.seed.value, "stream": self.seed.stream},
             "draws": self.draws,
         }
-        if self.built_at is not None:
-            doc["built_at"] = self.built_at
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def loads(cls, text: str) -> "QuantileTable":
-        """Parse a table document; malformed input raises TableMismatch."""
+        """Parse a table document; malformed input raises TableMismatch.  A ``built_at`` key,
+        which older stored tables carry, is dropped."""
         try:
             doc = json.loads(text)
             if doc.get("version") != TABLE_FORMAT_VERSION:
@@ -128,7 +125,6 @@ class QuantileTable:
                 params=doc["params"],
                 draws=doc["draws"],
                 seed=Seed(int(doc["seed"]["value"]), int(doc["seed"]["stream"])),
-                built_at=doc.get("built_at"),
             )
         except TableMismatch:
             raise
@@ -209,11 +205,6 @@ def _decide(
         warnings.warn(warning, RuntimeWarning, stacklevel=3)
     rejected = statistic > threshold if scale > 0 else statistic < threshold
     return TestReport(statistic, threshold, alpha, rejected, regime, diagnostics)
-
-
-def _now() -> str:
-    """UTC time in ISO 8601, for table `built_at` and report `timestamp` fields."""
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def tabulate_laguerre_max(

@@ -293,7 +293,7 @@ class TestPipelines:
         assert np.abs(load_timeseries_csv(tmp_path / "ts.csv").X).max() > 1e200
 
     def test_tabulate_round_trip(self, tmp_path, capsys):
-        store = ["--nsamples", "2000", "--seed", "7", "--no-timestamp"]
+        store = ["--nsamples", "2000", "--seed", "7"]
         assert run_cli(["tabulate", "laguerre-max", "--k", "2", "--m", "3", *store], tmp_path) == 0
         stored = Path(capsys.readouterr().out.strip())
         table = QuantileTable.load(stored)
@@ -305,7 +305,8 @@ class TestPipelines:
             tmp_path,
         )
         code = run_cli(
-            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", *store, "--output", str(out)],
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", *store, "--no-timestamp",
+             "--output", str(out)],
             tmp_path,
         )
         assert code in (0, 3)
@@ -453,10 +454,21 @@ class TestTableStore:
 
     def test_airy_table_keeps_its_name_and_bytes(self, tmp_path, capsys):
         # the file `tabulate --statistic airy1-sum` stored before the statistic became the kind
-        assert run_cli(["tabulate", "airy1-sum", "--nsamples", "100", "--no-timestamp"], tmp_path) == 0
+        assert run_cli(["tabulate", "airy1-sum", "--nsamples", "100"], tmp_path) == 0
         path = Path(capsys.readouterr().out.strip())
         assert path.name == "airy1_sum-f4064e9e8d8cf54078e56a4d.json"
         assert path.read_bytes() == (DATA / path.name).read_bytes()
+
+    def test_a_table_is_the_same_bytes_whichever_command_builds_it(self, tmp_path, capsys):
+        # a table records no build time, so `tabulate` and a test store one file, byte for byte
+        assert main([*self.TABULATE_23, "--table-cache-dir", str(tmp_path / "by-tabulate")]) == 0
+        tabulated = Path(capsys.readouterr().out.strip())
+        u, v = small_panels(tmp_path)
+        argv = ["independence", "--u", str(u), "--v", str(v), "--regime", "small", "--nsamples", "200"]
+        assert run_cli([*argv, "--output", str(tmp_path / "r.json")], tmp_path) in (0, 3)
+        [tested] = (tmp_path / "cache").iterdir()
+        assert tested.name == tabulated.name == self.PINNED_NAME
+        assert tested.read_bytes() == tabulated.read_bytes()
 
     def test_brownian_file_name_is_the_identity_digest(self, tmp_path, capsys):
         # K=2, r=1, nsamples 200, seed 0 (stream 0): pinned like the Laguerre name above
@@ -590,9 +602,9 @@ UNREAD = {
     "simulate panels": ["--t", "--pi-rank", "--pi-scale", "--pi-corner", "--output", "--no-timestamp",
                         "--table-cache-dir"],
     "simulate var1": ["--m", "--s", "--rho2", "--output-u", "--output-v", "--no-timestamp", "--table-cache-dir"],
-    "tabulate laguerre-max": ["--r", "--sim-size", "--output", "--stream"],
-    "tabulate airy1-sum": ["--k", "--m", "--sim-size", "--output", "--stream"],
-    "tabulate brownian-coint": ["--m", "--sim-size", "--output", "--stream"],
+    "tabulate laguerre-max": ["--r", "--sim-size", "--output", "--stream", "--no-timestamp"],
+    "tabulate airy1-sum": ["--k", "--m", "--sim-size", "--output", "--stream", "--no-timestamp"],
+    "tabulate brownian-coint": ["--m", "--sim-size", "--output", "--stream", "--no-timestamp"],
 }
 UNREAD_VALUES = {
     "--no-timestamp": [], "--pi-corner": [], "--table-cache-dir": ["{cache}"], "--output": ["{out}/x"],
@@ -952,6 +964,63 @@ def hdcca_process(argv, cwd):
     """``python -m hdcca`` in a fresh interpreter, where a regime warning prints rather than raises."""
     env = {**os.environ, "PYTHONPATH": str(Path(hyptest.__file__).parent.parent)}
     return subprocess.run([sys.executable, "-m", "hdcca", *argv], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+class TestProcessStart:
+    """``python -m hdcca`` and the ``hdcca`` script start OpenBLAS with its shortest thread timeout, so
+    its worker does not spin a second core after each call; nothing else sets it, and no bit moves."""
+
+    def test_a_process_writes_the_bytes_of_an_in_process_call(self, tmp_path):
+        # 100-dimensional inputs, large enough for OpenBLAS to split its work over threads
+        assert main(["simulate", "panels", "--k", "100", "--m", "150", "--s", "500", "--seed", "3",
+                     "--output-u", str(tmp_path / "u.csv"), "--output-v", str(tmp_path / "v.csv")]) == 0
+        assert main(["simulate", "var1", "--k", "100", "--t", "1000", "--seed", "3",
+                     "--output", str(tmp_path / "ts.csv")]) == 0
+        panels, store = ["--u", "u.csv", "--v", "v.csv"], ["--nsamples", "200", "--no-timestamp"]
+        calls = {
+            "cca": ["cca", *panels, "--no-timestamp"],
+            "independence": ["independence", *panels, "--regime", "large", *store],
+            "coint": ["coint", "--input", "ts.csv", "--regime", "large", *store],
+        }
+
+        def on(side, name):  # the call's argv, writing its report and tables apart for each side
+            cache = ["--table-cache-dir", side] if name != "cca" else []
+            return [*calls[name], *cache, "--output", f"{name}-{side}.json"]
+
+        cwd = Path.cwd()
+        os.chdir(tmp_path)
+        try:
+            for name in calls:
+                assert main(on("in", name)) in (0, 3)
+        finally:
+            os.chdir(cwd)
+        for name in calls:
+            proc = hdcca_process(on("process", name), tmp_path)
+            assert proc.returncode in (0, 3), proc.stderr
+            assert (tmp_path / f"{name}-process.json").read_bytes() == (tmp_path / f"{name}-in.json").read_bytes()
+        stored = {store: {p.name: p.read_bytes() for p in (tmp_path / store).iterdir()} for store in ("in", "process")}
+        assert stored["in"] == stored["process"] != {}
+
+    def test_the_package_root_loads_no_numpy(self):
+        code = "import sys, hdcca; print('numpy' in sys.modules, hdcca.Seed.__module__, 'numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "hdcca.ensembles", "True"]
+
+    @pytest.mark.parametrize(
+        "module, preset, expected",
+        [("hdcca.__main__", None, "4"), ("hdcca.__main__", "12", "12"), ("hdcca.cli", None, "None"),
+         ("hdcca", None, "None")],
+        ids=["main-unset", "main-user-value", "cli", "package"],
+    )
+    def test_only_the_cli_process_sets_the_thread_timeout(self, module, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        code = f"import os, {module}; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
 
 
 class TestPanelScale:

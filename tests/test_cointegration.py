@@ -329,7 +329,6 @@ def _retarget_rank(table, r):
         params=params,
         draws=table.draws,
         seed=table.seed,
-        built_at=table.built_at,
     )
 
 
