@@ -9,11 +9,12 @@ reads, so the parser rejects any other.
 
 Exit codes: 0 success / fail_to_reject, 3 reject, 2 input error or a path
 that cannot be read or written (one-line ``hdcca.error/1`` JSON on stderr).
-Reports are JSON on stdout or ``--output``; pass ``--no-timestamp`` for
-byte-identical reruns.  Quantile tables live in one on-disk store
-(:func:`_table`), one file per identity (statistic, parameters, nsamples,
-seed), whose bytes that identity alone decides, checked on every read; a
-table keeps its draws, so one file serves every ``--alpha``.  A test names
+Reports are JSON on stdout or ``--output``; like every file the CLI writes,
+a report is a function of the command's inputs alone, so reruns are
+byte-identical.  Quantile tables live in one on-disk store (:func:`_table`),
+one file per identity (statistic, parameters, nsamples, seed), whose bytes
+that identity alone decides, checked on every read; a table keeps its
+draws, so one file serves every ``--alpha``.  A test names
 its table and asks the store for it (:class:`_Store`) only after its input
 passes, so a bad input builds and stores no table; its regime warning
 (:func:`hyptest._decide`) is shown once its report is written, so a
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import hashlib
 import json
 import os
@@ -42,7 +42,7 @@ from . import cointegration, dataio, hyptest
 from .cca_core import sample_cca
 from .cointegration import VarModel
 from .ensembles import Seed
-from .errors import DimensionMismatch, HdccaError, InputFormatError, InvalidParams, TableMismatch
+from .errors import HdccaError, InputFormatError, InvalidParams, TableMismatch
 from .hyptest import STATISTIC_AIRY1_SUM, STATISTIC_BROWNIAN_COINT, STATISTIC_LAGUERRE_MAX, QuantileTable
 from .spike import simulate_spiked_panels
 from .wachter import Spectrum, WachterParams
@@ -67,9 +67,7 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _emit(doc: dict, args) -> None:
-    """Write a JSON document, stamped with the UTC time (ISO 8601) unless ``--no-timestamp``."""
-    if not args.no_timestamp:
-        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    """Write a JSON document: sorted keys, two-space indent, a trailing newline."""
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
 
 
@@ -206,23 +204,16 @@ def cmd_coint(args) -> int:
 
 def cmd_simulate_panels(args) -> int:
     rho2s = _floats(args.rho2, "--rho2") if args.rho2 else []
-    U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, Seed(args.seed, args.stream))
+    U, V = simulate_spiked_panels(args.k, args.m, args.s, rho2s, Seed(args.seed))
     dataio.save_panel_csv(args.output_u, U)
     dataio.save_panel_csv(args.output_v, V)
     return EXIT_OK
 
 
 def cmd_simulate_var1(args) -> int:
-    seed = Seed(args.seed, args.stream)
-    if args.pi_corner:
-        if args.k < 1:
-            raise DimensionMismatch(f"--pi-corner needs --k >= 1, got {args.k}")
-        pi = np.zeros((args.k, args.k))
-        pi[0, 0] = -1.0
-    else:
-        pi = cointegration.make_pi_rank_r(args.k, args.pi_rank, args.pi_scale, seed)
+    pi = cointegration.make_pi_rank_r(args.k, args.pi_rank, args.pi_scale, Seed(args.seed))
     model = VarModel(pi=pi, lam=np.eye(args.k), x0=np.zeros(args.k))
-    ts = cointegration.simulate_var1(model, args.t, Seed(seed.value, seed.stream + 1))
+    ts = cointegration.simulate_var1(model, args.t, Seed(args.seed, 1))
     dataio.save_timeseries_csv(args.output, ts)
     return EXIT_OK
 
@@ -251,16 +242,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(f"{self.prog}: {message}")
 
 
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed value")
-    p.add_argument("--stream", type=int, default=0, help="RNG stream index")
-
-
-def _add_report(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", help="write the report here instead of stdout")
-    p.add_argument("--no-timestamp", action="store_true", help="omit timestamps for byte-identical output")
-
-
 def _add_store(p: argparse.ArgumentParser) -> None:
     """The options that name a stored table; an Airy_1 table's sim_size is DEFAULT_SIM_SIZE, no option."""
     p.add_argument("--seed", type=int, default=0, help="RNG seed value of a table (drawn from stream 0)")
@@ -273,7 +254,7 @@ def _add_test_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.95, help="confidence level 1 - size, in (0.5, 1)")
     p.add_argument("--regime", choices=("small", "large"), required=True)
     _add_store(p)
-    _add_report(p)
+    p.add_argument("--output", help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="first panel CSV (variables x observations)")
     p.add_argument("--v", required=True, help="second panel CSV")
     p.add_argument("--tol", type=float, default=1e-10, help="relative rank tolerance")
-    _add_report(p)
+    p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_cca)
 
     p = sub.add_parser("histogram", help="binned spectrum with limit-density overlay")
@@ -316,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho2", help="comma-separated planted squared correlations")
     p.add_argument("--output-u", required=True, help="first panel output CSV")
     p.add_argument("--output-v", required=True, help="second panel output CSV")
-    _add_seed(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed value")
     p.set_defaults(func=cmd_simulate_panels)
 
     p = kinds.add_parser("var1", help="a VAR(1) time series")
@@ -324,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="horizon")
     p.add_argument("--pi-rank", type=int, default=0, help="rank of the coefficient matrix")
     p.add_argument("--pi-scale", type=float, default=-0.5, help="factor scale")
-    p.add_argument("--pi-corner", action="store_true", help="single -1 in the top-left corner")
     p.add_argument("--output", required=True, help="time-series output CSV")
-    _add_seed(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed value")
     p.set_defaults(func=cmd_simulate_var1)
 
     p = sub.add_parser("tabulate", help="build a Monte Carlo quantile table")

@@ -95,7 +95,10 @@ class VarModel:
 
 def _simulate_var1_rng(model: VarModel, T: int, rng: np.random.Generator) -> TimeSeriesPanel:
     K, r = model._alpha.shape
-    X = np.empty((K, T + 1))
+    try:
+        X = np.empty((K, T + 1))
+    except (MemoryError, ValueError):  # ValueError: a series past numpy's largest array
+        raise InvalidParams(f"a series of K={K} variables over T={T} steps does not fit in memory") from None
     X[:, 0] = model.x0
     W = X[:, 1:]
     z = rng.standard_normal((K, T))
@@ -138,9 +141,12 @@ def make_pi_rank_r(K: int, r: int, scale: float, seed: Seed) -> np.ndarray:
         raise DimensionMismatch(f"rank must satisfy 0 <= r <= K, got r={r}, K={K}")
     if not math.isfinite(scale):
         raise InvalidParams(f"scale must be finite, got {scale}")
-    if r == 0:
-        return np.zeros((K, K))
-    G = seed.generator().standard_normal((K, r))
+    try:
+        if r == 0:
+            return np.zeros((K, K))
+        G = seed.generator().standard_normal((K, r))
+    except (MemoryError, ValueError):  # ValueError: K x K past numpy's largest array
+        raise InvalidParams(f"a K x K coefficient matrix with K={K} does not fit in memory") from None
     Q, _ = np.linalg.qr(G)
     pi = scale * Q @ Q.T
     sv = np.linalg.svd(pi, compute_uv=False)

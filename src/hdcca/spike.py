@@ -162,8 +162,11 @@ def simulate_spiked_panels(
     if not ((rho2s >= 0.0) & (rho2s <= 1.0)).all():
         raise ParameterRange(f"planted squared correlations must lie in [0, 1], got {rho2s.tolist()}")
     rng = seed.generator()
-    U = rng.standard_normal((K, S))
-    V = rng.standard_normal((M, S))
+    try:
+        U = rng.standard_normal((K, S))
+        V = rng.standard_normal((M, S))
+    except (MemoryError, ValueError):  # ValueError: a panel past numpy's largest array
+        raise InvalidParams(f"panels of K={K}, M={M}, S={S} do not fit in memory") from None
     n = len(rho2s)
     if n:  # no signal planted: V stays as drawn
         V[:n] = np.sqrt(rho2s)[:, None] * U[:n] + np.sqrt(1.0 - rho2s)[:, None] * V[:n]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -22,8 +23,7 @@ from hdcca.dataio import (
     save_timeseries_csv,
 )
 from hdcca.cca_core import DataPanel
-from hdcca.cointegration import TimeSeriesPanel, VarModel, simulate_var1
-from hdcca.ensembles import Seed
+from hdcca.cointegration import TimeSeriesPanel
 from hdcca.errors import InputFormatError
 from hdcca.hyptest import QuantileTable
 from hdcca.wachter import Spectrum, WachterParams, support
@@ -96,7 +96,7 @@ class TestCcaCommand:
         out = tmp_path / "report.json"
         code = run_cli(
             ["cca", "--u", str(DATA / "panel_u_3x20.csv"), "--v", str(DATA / "panel_v_4x20.csv"),
-             "--no-timestamp", "--output", str(out)],
+             "--output", str(out)],
             tmp_path,
         )
         assert code == 0
@@ -139,16 +139,31 @@ class TestCcaCommand:
         for out in (out1, out2):
             run_cli(
                 ["cca", "--u", str(DATA / "panel_u_3x20.csv"), "--v", str(DATA / "panel_v_4x20.csv"),
-                 "--no-timestamp", "--output", str(out)],
+                 "--output", str(out)],
                 tmp_path,
             )
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command", [["cca"], ["independence", "--regime", "small", "--nsamples", "200"]], ids=["cca", "independence"]
+    )
+    def test_report_is_a_function_of_its_inputs(self, tmp_path, command):
+        # a report holds no wall-clock time, so the same argv writes the same bytes on every run
+        u, v = small_panels(tmp_path)
+        out = tmp_path / "r.json"
+        argv = [*command, "--u", str(u), "--v", str(v), "--output", str(out)]
+        reports = []
+        for _ in range(2):
+            assert run_cli(argv, tmp_path) in (0, 3)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert "timestamp" not in json.loads(reports[0])
 
     def test_spectrum_block_loads_as_a_spectrum_file(self, tmp_path):
         out, spec = tmp_path / "report.json", tmp_path / "spec.json"
         run_cli(
             ["cca", "--u", str(DATA / "panel_u_3x20.csv"), "--v", str(DATA / "panel_v_4x20.csv"),
-             "--no-timestamp", "--output", str(out)],
+             "--output", str(out)],
             tmp_path,
         )
         doc = json.loads(out.read_text())
@@ -227,7 +242,7 @@ class TestPipelines:
         out = tmp_path / "rep.json"
         code = run_cli(
             ["coint", "--input", str(ts), "--regime", "small", "--r", "1",
-             "--nsamples", "1500", "--no-timestamp", "--output", str(out)],
+             "--nsamples", "1500", "--output", str(out)],
             tmp_path,
         )
         doc = json.loads(out.read_text())
@@ -243,7 +258,7 @@ class TestPipelines:
         )
         code = run_cli(
             ["coint", "--input", str(ts), "--regime", "small", "--r", "1",
-             "--nsamples", "1500", "--no-timestamp"],
+             "--nsamples", "1500"],
             tmp_path,
         )
         assert code == 3
@@ -256,20 +271,11 @@ class TestPipelines:
             out = tmp_path / name
             run_cli(
                 ["coint", "--input", str(ts), "--regime", "small", "--r", "1", "--seed", "8",
-                 "--nsamples", "1000", "--no-timestamp", "--output", str(out)],
+                 "--nsamples", "1000", "--output", str(out)],
                 tmp_path,
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_pi_corner_series(self, tmp_path):
-        ts = tmp_path / "ts.csv"
-        argv = ["simulate", "var1", "--k", "3", "--t", "10", "--pi-corner", "--seed", "5", "--stream", "2"]
-        assert run_cli([*argv, "--output", str(ts)], tmp_path) == 0
-        corner = np.zeros((3, 3))
-        corner[0, 0] = -1.0
-        expected = simulate_var1(VarModel(corner, np.eye(3), np.zeros(3)), 10, Seed(5, 3))
-        np.testing.assert_array_equal(load_timeseries_csv(ts).X, expected.X)
 
     @pytest.mark.parametrize("value", ["-1e-3", "-.5E+0"])
     def test_negative_exponent_form_is_an_option_value(self, tmp_path, value):
@@ -305,8 +311,7 @@ class TestPipelines:
             tmp_path,
         )
         code = run_cli(
-            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", *store, "--no-timestamp",
-             "--output", str(out)],
+            ["independence", "--u", str(u), "--v", str(v), "--regime", "small", *store, "--output", str(out)],
             tmp_path,
         )
         assert code in (0, 3)
@@ -322,7 +327,7 @@ class TestPipelines:
         )
         code = run_cli(
             ["independence", "--u", str(u), "--v", str(v), "--regime", "small",
-             "--nsamples", "4000", "--no-timestamp"],
+             "--nsamples", "4000"],
             tmp_path,
         )
         assert code == 3
@@ -595,13 +600,14 @@ UNREAD_BASE = {
                                 "--table-cache-dir", "{cache}"],
 }
 UNREAD = {
-    "cca": ["--seed", "--stream", "--table-cache-dir"],
-    "independence": ["--table", "--stream", "--sim-size"],
-    "coint": ["--table", "--stream", "--sim-size"],
+    "cca": ["--seed", "--stream", "--table-cache-dir", "--no-timestamp"],
+    "independence": ["--table", "--stream", "--sim-size", "--no-timestamp"],
+    "coint": ["--table", "--stream", "--sim-size", "--no-timestamp"],
     "histogram": ["--seed", "--stream", "--no-timestamp", "--table-cache-dir"],
     "simulate panels": ["--t", "--pi-rank", "--pi-scale", "--pi-corner", "--output", "--no-timestamp",
-                        "--table-cache-dir"],
-    "simulate var1": ["--m", "--s", "--rho2", "--output-u", "--output-v", "--no-timestamp", "--table-cache-dir"],
+                        "--table-cache-dir", "--stream"],
+    "simulate var1": ["--m", "--s", "--rho2", "--output-u", "--output-v", "--no-timestamp", "--table-cache-dir",
+                      "--stream", "--pi-corner"],
     "tabulate laguerre-max": ["--r", "--sim-size", "--output", "--stream", "--no-timestamp"],
     "tabulate airy1-sum": ["--k", "--m", "--sim-size", "--output", "--stream", "--no-timestamp"],
     "tabulate brownian-coint": ["--m", "--sim-size", "--output", "--stream", "--no-timestamp"],
@@ -624,7 +630,6 @@ class TestBadInput:
         "argv, error",
         [
             (["simulate", "var1", "--k", "2", "--t", "10", "--seed", "-1"], "ParameterRange"),
-            (["simulate", "var1", "--k", "2", "--t", "10", "--stream", "-1"], "ParameterRange"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "20", "--rho2", "x"], "InputFormatError"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "20", "--rho2", "1.5"], "ParameterRange"),
             (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "0"],
@@ -652,8 +657,7 @@ class TestBadInput:
             (["tabulate", "laguerre-max", "--k", "2", "--m", "3", "--nsamples", "50",
               "--table-cache-dir", "{file}"], "FileExistsError"),
             (["simulate", "panels", "--k", "2", "--m", "3", "--s", "-5"], "DimensionMismatch"),
-            (["simulate", "var1", "--k", "-1", "--t", "10", "--pi-corner"], "DimensionMismatch"),
-            (["simulate", "var1", "--k", "0", "--t", "10", "--pi-corner"], "DimensionMismatch"),
+            (["simulate", "var1", "--k", "-1", "--t", "10"], "DimensionMismatch"),
             (["simulate", "var1", "--k", "0", "--t", "10"], "DimensionMismatch"),
             (["simulate", "var1", "--k", "3", "--t", "10", "--pi-rank", "1", "--pi-scale", "0"],
              "InvalidParams"),
@@ -675,18 +679,23 @@ class TestBadInput:
             (["histogram", "--tau-k", "5", "--tau-m", "3", "--spectrum", "{tmp}/ascending.json"], "InputFormatError"),
             (["simulate", "var1", "--k", "2", "--t", "1"], "DimensionMismatch"),
             (["simulate", "var1", "--k", "2", "--t", "10", "--pi-rank", "3"], "DimensionMismatch"),
+            # shapes past numpy's largest array, so that nothing is allocated
+            (["simulate", "panels", "--k", "10000000000", "--m", "1", "--s", "10000000000"], "InvalidParams"),
+            (["simulate", "var1", "--k", "10000000000", "--t", "10"], "InvalidParams"),
+            (["simulate", "var1", "--k", "3", "--t", str(2**62)], "InvalidParams"),
         ],
-        ids=["seed", "stream", "rho2-text", "rho2-range",
+        ids=["seed", "rho2-text", "rho2-range",
              "nsamples-laguerre", "nsamples-airy", "nsamples-brownian",
              "negative-nsamples-laguerre", "negative-nsamples-airy", "negative-nsamples-brownian",
              "negative-nsamples-independence", "seed-text", "nsamples-text", "no-regime",
              "alpha-range", "bins-floor", "zero-bins", "bins-ceiling", "cca-output-dir", "simulate-output-dir",
              "histogram-output-dir",
              "tabulate-output-under-file", "cache-dir-is-file",
-             "negative-s", "negative-k-corner", "zero-k-corner", "zero-k", "zero-pi-scale",
+             "negative-s", "negative-k", "zero-k", "zero-pi-scale",
              "nan-pi-scale", "inf-pi-scale", "nan-tol", "negative-tol", "explosive-var", "airy-r-zero",
              "series-without-variables", "laguerre-k-above-m", "brownian-r-above-k", "rho2-count-above-min-k-m",
-             "infinite-tau", "spectrum-above-one", "ascending-spectrum", "horizon-one", "pi-rank-above-k"],
+             "infinite-tau", "spectrum-above-one", "ascending-spectrum", "horizon-one", "pi-rank-above-k",
+             "panels-past-numpy-max", "pi-past-numpy-max", "series-past-numpy-max"],
     )
     def test_argument(self, tmp_path, capsys, argv, error):
         (tmp_path / "dir").mkdir()
@@ -937,9 +946,12 @@ class TestBadInput:
         assert err["error"] == error
         assert message.format(bad=bad) in err["message"]
 
-    @pytest.mark.parametrize("abbreviation", [["--out", "{dir}/r.json"], ["--no-time"]], ids=["out", "no-time"])
+    @pytest.mark.parametrize(
+        "abbreviation", [["--out", "{dir}/r.json"], ["--to", "1e-8"], ["--no-time"]], ids=["out", "to", "no-time"]
+    )
     def test_abbreviated_option_is_refused(self, tmp_path, capsys, abbreviation):
-        # an option is spelled in full, so a prefix of one never parses and a new option cannot change a call
+        # an option is spelled in full, so a prefix of one never parses and a new option cannot change a call;
+        # --no-time is a prefix of the removed --no-timestamp
         u, v = small_panels(tmp_path)
         abbreviation = [a.format(dir=tmp_path) for a in abbreviation]
         assert main(["cca", "--u", str(u), "--v", str(v), *abbreviation]) == 2
@@ -976,9 +988,9 @@ class TestProcessStart:
                      "--output-u", str(tmp_path / "u.csv"), "--output-v", str(tmp_path / "v.csv")]) == 0
         assert main(["simulate", "var1", "--k", "100", "--t", "1000", "--seed", "3",
                      "--output", str(tmp_path / "ts.csv")]) == 0
-        panels, store = ["--u", "u.csv", "--v", "v.csv"], ["--nsamples", "200", "--no-timestamp"]
+        panels, store = ["--u", "u.csv", "--v", "v.csv"], ["--nsamples", "200"]
         calls = {
-            "cca": ["cca", *panels, "--no-timestamp"],
+            "cca": ["cca", *panels],
             "independence": ["independence", *panels, "--regime", "large", *store],
             "coint": ["coint", "--input", "ts.csv", "--regime", "large", *store],
         }
@@ -1110,7 +1122,7 @@ class TestRegimeWarning:
         ids=["independence-large", "coint-large", "coint-small"],
     )
     def test_warned_decision_prints_the_warning(self, workdir, argv, message, call):
-        proc = hdcca_process([*argv, "--nsamples", "50", "--table-cache-dir", "cache", "--no-timestamp"], workdir)
+        proc = hdcca_process([*argv, "--nsamples", "50", "--table-cache-dir", "cache"], workdir)
         assert proc.returncode in (0, 3)
         assert json.loads(proc.stdout)["schema"] == "hdcca.report/1"
         source = Path(hyptest.__file__).with_name("cli.py").read_text().splitlines()
@@ -1118,6 +1130,26 @@ class TestRegimeWarning:
         where, statement = proc.stderr.splitlines()
         assert where.endswith(f"{os.sep}cli.py:{line}: RuntimeWarning: {message}")
         assert statement.strip() == source[line - 1].strip()
+
+
+# Each leaf command's options but -h: adding an option is an edit here.
+OPTION_COUNTS = {
+    "cca": 4, "histogram": 6, "independence": 8, "coint": 8, "simulate panels": 7, "simulate var1": 6,
+    "tabulate laguerre-max": 5, "tabulate airy1-sum": 4, "tabulate brownian-coint": 5,
+}
+
+
+def test_option_counts_are_pinned():
+    counts, parsers = {}, [("", build_parser())]
+    while parsers:
+        name, parser = parsers.pop()
+        kinds = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if kinds:
+            parsers += [(f"{name} {kind}".strip(), p) for kind, p in kinds[0].items()]
+        else:
+            counts[name] = sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction) for a in parser._actions)
+    assert counts == OPTION_COUNTS
+    assert sum(counts.values()) == 53
 
 
 def test_readme_command_lines_parse():

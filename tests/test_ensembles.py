@@ -51,6 +51,11 @@ class TestSeed:
         with pytest.raises(ValueError):
             Seed(-1)
 
+    @pytest.mark.parametrize("stream", [-1, 2**64], ids=["negative", "past-u64"])
+    def test_stream_range_validated(self, stream):
+        with pytest.raises(ParameterRange, match="seed stream must be a u64"):
+            Seed(0, stream)
+
 
 class TestGaussianPanel:
     def test_moments_at_one_million_entries(self):

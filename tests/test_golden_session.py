@@ -43,7 +43,7 @@ def session_calls() -> list[tuple[str, list[str]]]:
     for size, case in inputs:
         calls.append((f"cca-{size}-{case}", [
             "cca", "--u", f"u-{size}-{case}.csv", "--v", f"v-{size}-{case}.csv",
-            "--no-timestamp", "--output", f"cca-{size}-{case}.json",
+            "--output", f"cca-{size}-{case}.json",
         ]))
     for alpha in ("0.9", "0.95", "0.99"):
         for size, case in inputs:
@@ -54,7 +54,7 @@ def session_calls() -> list[tuple[str, list[str]]]:
                 name = f"{command}-{size}-{case}-{alpha}"
                 calls.append((name, [
                     command, *data, "--regime", size, "--alpha", alpha, *STORE,
-                    "--no-timestamp", "--output", f"{name}.json",
+                    "--output", f"{name}.json",
                 ]))
     return calls
 
