@@ -5,7 +5,8 @@ sample canonical correlations between the increments of the series and
 its lagged levels.  Under no cointegration the statistic has a Brownian
 functional limit for small fixed K, and for K growing with T a detrended,
 demeaned variant has a Wachter bulk with Tracy-Widom/Airy_1 edge
-fluctuations, coupled to a Jacobi spectrum of matched parameters.
+fluctuations, coupled to a Jacobi spectrum of matched parameters.  Both
+take one stacked path, :func:`_coint_spectra` then :func:`_log_gap_sums`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cca_core import DataPanel, sample_spectrum
+from .cca_core import DataPanel, _spectra
 from .ensembles import Seed, _fill_blocks
 from .errors import (
     DimensionMismatch,
@@ -156,29 +157,37 @@ def make_pi_rank_r(K: int, r: int, scale: float, seed: Seed) -> np.ndarray:
     return pi
 
 
+def _coint_spectra(x: np.ndarray, detrended: bool) -> np.ndarray:
+    """Spectra of increments against lagged levels of (..., K, T + 1) stacks; `detrended` as in modified_lambdas."""
+    T = x.shape[-1] - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite series may overflow here; refused below
+        u, v = x[..., 1:] - x[..., :-1], x[..., :-1]
+        if detrended:  # v less its endpoint line, spelled (-line) + v so numpy adds into the temporary: same bits
+            v = (x[..., 0] - x[..., T])[..., None] * (np.arange(T) / T) + v
+            u -= u.mean(-1, keepdims=True)
+            v -= v.mean(-1, keepdims=True)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DimensionMismatch("the increments or detrended levels of the series overflow the float range")
+    return _spectra(u, v)
+
+
 def johansen_lambdas(X: TimeSeriesPanel) -> Spectrum:
-    """Squared sample canonical correlations between increments and lagged levels.
-
-    Needs 2K <= T, the kernel's K + M <= S.
-    """
-    lag = X.X[:, :-1]
-    dX = X.X[:, 1:] - lag
-    dX.setflags(write=False)
-    return Spectrum(values=sample_spectrum(DataPanel(dX), DataPanel(lag)), meta={"K": X.K, "T": X.T})
+    """Squared sample canonical correlations between increments and lagged levels; needs 2K <= T."""
+    return Spectrum(values=_coint_spectra(X.X, False), meta={"K": X.K, "T": X.T})
 
 
-def _top_log_gaps(spec: Spectrum, r: int) -> np.ndarray:
-    """log(1 - lambda_i) for the top r squared correlations, 0 <= r <= len(spec)."""
-    if not 0 <= r <= len(spec):
-        raise DimensionMismatch(f"rank must satisfy 0 <= r <= {len(spec)}, got {r}")
-    if spec.values.max() >= 1.0 - 1e-12:
-        raise UnitCorrelation(f"top squared correlation {spec.values[0]} is numerically 1; the statistic diverges")
-    return np.log1p(-spec.values[:r])
+def _log_gap_sums(lam: np.ndarray, r: int) -> np.ndarray:
+    """Sums of log(1 - lambda_i) over the top r of each descending spectrum of a (..., n) stack, 0 <= r <= n."""
+    if not 0 <= r <= lam.shape[-1]:
+        raise DimensionMismatch(f"rank must satisfy 0 <= r <= {lam.shape[-1]}, got {r}")
+    if lam.max() >= 1.0 - 1e-12:
+        raise UnitCorrelation(f"top squared correlation {lam[..., 0].max()} is numerically 1; the statistic diverges")
+    return np.log1p(-lam[..., :r]).sum(-1)
 
 
 def trace_statistic(spec: Spectrum, r: int, T: int) -> float:
     """Log likelihood ratio (T/2) sum_{i<=r} log(1 - lambda_i); <= 0."""
-    return float(T / 2.0 * _top_log_gaps(spec, r).sum())
+    return float(T / 2.0 * _log_gap_sums(spec.values, r))
 
 
 _MODES = 32  # Fourier modes of the Brownian bridge kept by simulate_brownian_null
@@ -273,14 +282,7 @@ def modified_lambdas(X: TimeSeriesPanel) -> Spectrum:
     K, T = X.K, X.T
     if T <= 2 * K:
         raise TooFewObservations(f"need T > 2K, got K={K}, T={T}")
-    U = X.X[:, 1:] - X.X[:, :-1]
-    U -= U.mean(axis=1, keepdims=True)
-    V = np.multiply.outer(X.X[:, T] - X.X[:, 0], np.arange(T) / T)
-    np.subtract(X.X[:, :-1], V, out=V)
-    V -= V.mean(axis=1, keepdims=True)
-    U.setflags(write=False)
-    V.setflags(write=False)
-    return Spectrum(values=sample_spectrum(DataPanel(U), DataPanel(V)), meta={"K": K, "T": T, "modified": True})
+    return Spectrum(values=_coint_spectra(X.X, True), meta={"K": K, "T": T, "modified": True})
 
 
 def coint_lambda_pm(tau: float) -> tuple[float, float]:
@@ -325,7 +327,7 @@ def coint_test_large(X: TimeSeriesPanel, r: int, alpha: float, airy_table: Quant
     K, T = X.K, X.T
     _, hi, c1, c2 = _large_k_constants(K, T)
     tau = T / K
-    log_sum = float(np.sum(_top_log_gaps(modified_lambdas(X), r)))
+    log_sum = float(_log_gap_sums(modified_lambdas(X).values, r))
     scale = edge_scale(detrended_law(tau), K)  # K^(-2/3) c2 = -1 / (scale (1 - hi))
     statistic = (r * c1 - log_sum) * (1.0 - hi) * scale
     return _decide(

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -785,6 +786,18 @@ class TestBadInput:
         assert err["error"] == error
         assert message in err["message"]
         assert not any(cache.iterdir())
+
+    @pytest.mark.parametrize("regime", ["small", "large"])
+    def test_finite_series_whose_increments_overflow(self, tmp_path, capsys, regime):
+        # every entry is finite but the increment -2e308 is not: one error line, and numpy's warning stays inside
+        ts = tmp_path / "ts.csv"
+        ts.write_text("t,x0,x1\n0,1e308,0\n1,-1e308,1\n2,1e308,0\n3,0,2\n4,1,3\n5,2,1\n6,0,0\n7,3,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["coint", "--input", str(ts), "--regime", regime, "--nsamples", "50"], tmp_path) == 2
+        err = error_of(capsys)
+        assert err["error"] == "DimensionMismatch"
+        assert err["message"] == "the increments or detrended levels of the series overflow the float range"
 
     def test_grid_option_is_gone(self, tmp_path, capsys):
         # the series sampler has no grid, so the Brownian table has no grid option

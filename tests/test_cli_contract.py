@@ -1,8 +1,9 @@
 """The CLI's contract on any argv: a fuzzer over in-process ``cli.main`` calls.
 
 Each example is one argv, run in two fresh directories that hold the same small inputs: a 2x3x20 panel
-pair, the pair scaled by 1e-300 and by 1e300, a 2x3x5 pair (K + M = S), a 1x1 panel, a K = 3, T = 6
-series and a three-value spectrum.  Float options take extreme and oddly spelled values, and every size
+pair, the pair scaled by 1e-300 and by 1e300, a 2x3x5 pair (K + M = S), a 1x1 panel, series at T = 2K
+(K = 3 and K = 2), at T = 2K + 1 (K = 3, where the large regime warns) and a finite one whose increments
+overflow, and a three-value spectrum.  Float options take extreme and oddly spelled values, and every size
 option takes one of a few small values or an array past numpy's largest, so nothing large is ever
 allocated.  Every call must:
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hdcca.cca_core import DataPanel
 from hdcca.cli import main
@@ -38,6 +39,7 @@ SIZES = ["2", "3", "1", "50", "0", "-1"]  # hypothesis favours the first values
 SEEDS = ["0", "5", "-1", "18446744073709551615", "18446744073709551616"]
 PAIRS = [("u.csv", "v.csv"), ("u_tiny.csv", "v_tiny.csv"), ("u_huge.csv", "v_huge.csv"),
          ("u_kms.csv", "v_kms.csv"), ("one.csv", "one.csv")]
+SERIES = ["ts.csv", "u.csv", "ts_2k.csv", "ts_2k1.csv", "ts_overflow.csv"]
 STORE = ["--table-cache-dir", "tables"]
 # sizes whose arrays exceed numpy's largest (more than 2^63 bytes), each refused before any allocation
 PANELS_PAST_MAX = ["--k", "10000000000", "--m", "1", "--s", "10000000000"]
@@ -54,6 +56,10 @@ def write_inputs(d: Path) -> None:
     save_panel_csv(d / "v_kms.csv", DataPanel(v[:, :5]))
     save_panel_csv(d / "one.csv", DataPanel(np.array([[1.5]])))
     save_timeseries_csv(d / "ts.csv", TimeSeriesPanel(rng.standard_normal((3, 7)).cumsum(axis=1)))
+    save_timeseries_csv(d / "ts_2k.csv", TimeSeriesPanel(rng.standard_normal((2, 5)).cumsum(axis=1)))
+    save_timeseries_csv(d / "ts_2k1.csv", TimeSeriesPanel(rng.standard_normal((3, 8)).cumsum(axis=1)))
+    overflowing = [[1e308, -1e308, 1e308, 0.0, 1.0, 2.0, 0.0, 3.0], [0.0, 1.0, 0.0, 2.0, 3.0, 1.0, 0.0, 1.0]]
+    save_timeseries_csv(d / "ts_overflow.csv", TimeSeriesPanel(np.array(overflowing)))
     save_spectrum_json(d / "spec.json", Spectrum(np.array([0.6, 0.3, 0.1])))
 
 
@@ -87,7 +93,7 @@ ARGV = st.one_of(
                       options(maybe("--tau-k", FLOATS), maybe("--tau-m", FLOATS), maybe("--coint-tau", FLOATS))),
             maybe("--bins", SIZES), st.just(["--output", "h.csv"])),
     options(st.just(["independence"]), PAIR, TEST),
-    options(st.just(["coint"]), given_as("--input", ["ts.csv", "u.csv"]), maybe("--r", SIZES), TEST),
+    options(st.just(["coint"]), given_as("--input", SERIES), maybe("--r", SIZES), TEST),
     options(st.just(["simulate", "panels"]),
             st.one_of(options(given_as("--k", SIZES), given_as("--m", SIZES), given_as("--s", SIZES)),
                       st.just(PANELS_PAST_MAX)),
@@ -143,9 +149,19 @@ def finite(doc) -> bool:
     return not isinstance(doc, float) or math.isfinite(doc)
 
 
+def coint_on(series: str, regime: str) -> list:
+    return ["coint", "--input", series, "--regime", regime, "--nsamples", "2", *STORE, "--output", "r.json"]
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=ARGV)
+# the series near T = 2K and the overflowing one, run on every pass: the derandomized draws may miss them
+@example(argv=coint_on("ts_2k.csv", "small"))
+@example(argv=coint_on("ts_2k.csv", "large"))
+@example(argv=coint_on("ts_2k1.csv", "large"))
+@example(argv=coint_on("ts_overflow.csv", "small"))
+@example(argv=coint_on("ts_overflow.csv", "large"))
 def test_every_argv_keeps_the_contract(inputs, argv):
     code, out, err, written = run(argv, inputs)
     assert code in (0, 2, 3), (code, err)

@@ -364,6 +364,33 @@ class TestModifiedLambdas:
             modified_lambdas(X)
 
 
+class TestStackedStatistics:
+    """The private stacked path keeps each series' bits: the public calls are its one-series calls."""
+
+    @pytest.mark.parametrize("K, T, n", [(2, 1000, 8), (5, 50, 8), (20, 100, 8), (100, 1000, 2)])
+    def test_stack_matches_the_one_series_calls_bit_for_bit(self, K, T, n):
+        model = VarModel(make_pi_rank_r(K, 1, -0.5, Seed(K)), np.eye(K), np.full(K, 3.0))
+        series = [simulate_var1(model, T, Seed(T, i)) for i in range(n)]
+        stack = np.stack([X.X for X in series])
+        for detrended, one in ((False, johansen_lambdas), (True, modified_lambdas)):
+            spectra = cointegration._coint_spectra(stack, detrended)
+            specs = [one(X) for X in series]
+            assert spectra.tobytes() == np.stack([s.values for s in specs]).tobytes(), detrended
+            for r in (0, 1, K):
+                sums = cointegration._log_gap_sums(spectra, r)
+                # T = 2 makes trace_statistic's factor T / 2 exactly 1, so it returns the log-gap sum itself
+                assert sums.tobytes() == np.array([trace_statistic(s, r, 2) for s in specs]).tobytes(), (detrended, r)
+                assert (T / 2.0 * sums).tolist() == [trace_statistic(s, r, T) for s in specs], (detrended, r)
+
+    def test_one_unit_correlation_row_refuses_the_stack(self):
+        stack = np.stack([simulate_var1(VarModel.pure_random_walk(2), 50, Seed(70, i)).X for i in range(3)])
+        stack[1, 0] = 0.5 ** np.arange(51.0)  # increments exactly -1/2 the lagged level
+        spectra = cointegration._coint_spectra(stack, False)
+        with pytest.raises(UnitCorrelation, match="is numerically 1"):
+            cointegration._log_gap_sums(spectra, 1)
+        cointegration._log_gap_sums(spectra[[0, 2]], 1)  # the other rows alone pass
+
+
 class TestCointLambdaPm:
     def test_frozen_reference_values(self):
         lo, hi = coint_lambda_pm(10.0)
