@@ -14,10 +14,10 @@ a report is a function of the command's inputs alone, so reruns are
 byte-identical.  Quantile tables live in one on-disk store (:func:`_table`),
 one file per identity (statistic, parameters, nsamples, seed), whose bytes
 that identity alone decides, checked on every read; a table keeps its
-draws, so one file serves every ``--alpha``.  A test names
-its table and asks the store for it (:class:`_Store`) only after its input
-passes, so a bad input builds and stores no table; its regime warning
-(:func:`hyptest._decide`) is shown once its report is written, so a
+draws, so one file serves every ``--alpha``.  A test names its table and
+asks the store for it (:class:`_Store`) only after its input passes, so a bad
+input builds and stores no table; its regime warning (:func:`hyptest._decide`)
+is one ``RuntimeWarning: <message>`` line once its report is written, so a
 refused table or a failed write prints just the error line.  ``tabulate``
 pre-warms the store, in the cache directory ``--table-cache-dir``, else
 ``$HDCCA_TABLE_DIR``, else ``$XDG_CACHE_HOME/hdcca``, else
@@ -136,10 +136,9 @@ class _Store:
 
 
 def _emit_report(args, report, warned: list) -> int:
-    """Write the report, then show the test's `warned` regime warnings, so a failed write prints one line."""
+    """Write the report, then one ``Category: message`` line per `warned` warning: a failed write prints none."""
     _emit({"schema": REPORT_SCHEMA, "command": args.command, **report.to_json_dict()}, args)
-    for w in warned:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    sys.stderr.writelines(f"{w.category.__name__}: {w.message}\n" for w in warned)
     return EXIT_REJECT if report.rejected else EXIT_OK
 
 

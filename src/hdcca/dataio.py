@@ -16,8 +16,9 @@ then one row per equal-width bin over [0, 1].
 Every CSV written here has Python float repr fields, so reruns are
 byte-identical, and CRLF line ends (:func:`_csv_lines`).
 
-Data rows must be as wide as the first; fields may be double-quoted.  An error
-names file, line and column of the first bad field or row in file order.
+Data rows must be as wide as the first; fields may be double-quoted.  The reader
+holds the text and one row's fields at a time, streamed into one float array.  An
+error names file, line and column of the first bad field or row in file order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -51,30 +52,42 @@ def _parse_float(field: str, path, lineno: int, col: int) -> float:
 
 
 def _read_matrix(path) -> tuple[list[int], np.ndarray]:
-    """Line numbers and values of the data rows (the header and blank lines skipped): one bulk
-    ``float`` conversion; a bad field or ragged row runs the per-field loop, which raises at the first."""
+    """Line numbers and values of the data rows (the header and blank lines skipped): one streamed bulk
+    ``float`` conversion that holds the text and one row's fields at a time; a bad field, ragged row or
+    non-finite value tokenizes the text again for the per-field loop, which raises at the first."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise InputFormatError(f"{path}: cannot read file: {e}") from e
     lines = text.splitlines()
-    # without a quote character csv.reader splits on "," exactly as str.split does
-    split = csv.reader(lines) if '"' in text else (line.split(",") for line in lines)
-    rows = [(n, row) for n, row in enumerate(split, start=1) if any(map(str.strip, row))]
-    if len(rows) < 2:
-        raise InputFormatError(f"{path}: need a header row plus at least one data row")
-    linenos, fields = [n for n, _ in rows[1:]], [row for _, row in rows[1:]]
-    width = len(fields[0])
+
+    def rows():  # (line number, fields) of each non-blank row, the header first
+        # without a quote character csv.reader splits on "," exactly as str.split does
+        split = csv.reader(lines) if '"' in text else (line.split(",") for line in lines)
+        return ((n, row) for n, row in enumerate(split, start=1) if any(map(str.strip, row)))
+
+    linenos, widths = [], set()
+
+    def data_rows():  # the fields of each data row, its line number and width recorded on the way
+        for n, row in islice(rows(), 1, None):
+            linenos.append(n)
+            widths.add(len(row))
+            yield row
+
     try:
-        data = np.fromiter(map(float, chain.from_iterable(fields)), float, width * len(fields))
-    except ValueError:  # a non-numeric field, or fewer fields than the first row promises
+        data = np.fromiter(map(float, chain.from_iterable(data_rows())), float)
+    except ValueError:  # a non-numeric field
         data = None
-    if data is None or not np.isfinite(data).all() or any(len(row) != width for row in fields):
-        for lineno, row in rows[1:]:  # the error locator: raises at the first fault in file order
+    if data is None or len(widths) > 1 or not np.isfinite(data).all():
+        faulty = list(rows())  # whole, so a tokenizer error anywhere comes first, as in one pass
+        width = len(faulty[1][1])
+        for lineno, row in faulty[1:]:  # the error locator: raises at the first fault in file order
             vals = [_parse_float(f, path, lineno, col) for col, f in enumerate(row, start=1)]
             if len(vals) != width:
                 raise InputFormatError(f"{path}, line {lineno}: expected {width} fields, got {len(vals)}")
-    data.shape = len(fields), width  # in place and read-only, so DataPanel adopts it; a view it would copy
+    if not linenos:
+        raise InputFormatError(f"{path}: need a header row plus at least one data row")
+    data.shape = len(linenos), widths.pop()  # in place and read-only, so DataPanel adopts it; a view it would copy
     data.setflags(write=False)
     return linenos, data
 

@@ -11,7 +11,9 @@ Brownian sampler is the law oracle of
 :func:`hdcca.cointegration.simulate_brownian_null`: it integrates each draw
 on a grid instead of summing the Fourier series of the Brownian bridge.
 The ``csv.writer`` writer is the byte oracle of the CSV savers in
-:mod:`hdcca.dataio`, which join reprs by hand.  The per-step loop
+:mod:`hdcca.dataio`, which join reprs by hand, and the list-based reader
+:func:`read_matrix_reference`, which tokenizes the whole text before one
+conversion, is the oracle of the streaming reader ``dataio._read_matrix``.  The per-step loop
 :func:`simulate_var1_loop` is the oracle of
 :func:`hdcca.cointegration.simulate_var1`, which runs the recursion as a
 cumulative sum and a doubling scan, and :func:`modified_panels` keeps the
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from math import lgamma
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -52,8 +56,9 @@ from hdcca.cca_core import (
     sample_cca,
 )
 from hdcca.cointegration import VarModel, _large_k_constants, _simulate_var1_rng, detrended_law, modified_lambdas
+from hdcca.dataio import _parse_float
 from hdcca.ensembles import Seed, _fill_blocks, manova_spectra
-from hdcca.errors import BelowEdge, DimensionMismatch, HdccaError, ParameterRange, TooFewObservations
+from hdcca.errors import BelowEdge, DimensionMismatch, HdccaError, InputFormatError, ParameterRange, TooFewObservations
 from hdcca.wachter import Spectrum, WachterParams, edge_scale, stieltjes
 
 _SEQ_MAX_ITER = 2000
@@ -282,6 +287,35 @@ def csv_writer_save(path, header: list, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_matrix_reference(path) -> tuple[list[int], np.ndarray]:
+    """``dataio._read_matrix`` as a list of every data row's fields: the same line numbers, array bytes,
+    read-only flag and errors, with the whole text tokenized before one counted ``float`` conversion."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputFormatError(f"{path}: cannot read file: {e}") from e
+    lines = text.splitlines()
+    # without a quote character csv.reader splits on "," exactly as str.split does
+    split = csv.reader(lines) if '"' in text else (line.split(",") for line in lines)
+    rows = [(n, row) for n, row in enumerate(split, start=1) if any(map(str.strip, row))]
+    if len(rows) < 2:
+        raise InputFormatError(f"{path}: need a header row plus at least one data row")
+    linenos, fields = [n for n, _ in rows[1:]], [row for _, row in rows[1:]]
+    width = len(fields[0])
+    try:
+        data = np.fromiter(map(float, chain.from_iterable(fields)), float, width * len(fields))
+    except ValueError:  # a non-numeric field, or fewer fields than the first row promises
+        data = None
+    if data is None or not np.isfinite(data).all() or any(len(row) != width for row in fields):
+        for lineno, row in rows[1:]:  # the error locator: raises at the first fault in file order
+            vals = [_parse_float(f, path, lineno, col) for col, f in enumerate(row, start=1)]
+            if len(vals) != width:
+                raise InputFormatError(f"{path}, line {lineno}: expected {width} fields, got {len(vals)}")
+    data.shape = len(fields), width
+    data.setflags(write=False)
+    return linenos, data
 
 
 @dataclass(frozen=True)

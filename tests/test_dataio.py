@@ -1,10 +1,13 @@
 """The CSV codec of hdcca.dataio: the savers and the histogram write csv.writer's
 bytes, CRLF line ends included, and the reader gives one array, one set of
-line numbers and one error message per input, whichever tokenizer reads it."""
+line numbers and one error message per input, whichever tokenizer reads it:
+those of the list-based reference reader, though it holds one row's fields at a time."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hdcca import dataio
@@ -21,10 +24,37 @@ from hdcca.dataio import (
 )
 from hdcca.errors import InputFormatError
 from hdcca.wachter import WachterParams
-from oracles import csv_writer_save
+from oracles import csv_writer_save, read_matrix_reference
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+GOOD_FIELDS = ["1", "-2.5", "0.0", "-0.0", "1E-3", "5e-324", "1e308", "1_0", "+.5", "7.", " 3 "]
+BAD_FIELDS = ["x", "nan", "inf", "-inf", "1e400", "", " "]
+BLANK_LINES = ["", "  ", " , ", ",", "\t,\t"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f"]
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A CSV text with or without a header, quoted or not, with blank lines and mixed line ends, whose rows
+    may have bad fields and may be ragged."""
+    field = st.sampled_from(GOOD_FIELDS + BAD_FIELDS if draw(st.booleans()) else GOOD_FIELDS)
+    quoted = field.flatmap(lambda f: st.sampled_from([f, f'"{f}"'])) if draw(st.booleans()) else field
+    width = st.integers(1, 4) if draw(st.booleans()) else st.just(draw(st.integers(1, 3)))
+    row = width.flatmap(lambda w: st.lists(quoted, min_size=w, max_size=w)).map(",".join)
+    header = draw(st.sampled_from([[], ["a,b,c"], ['"a",b']]))
+    lines = header + draw(st.lists(st.one_of(row, row, st.sampled_from(BLANK_LINES)), min_size=2, max_size=8))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, ends))
+
+
+def read_outcome(read, path) -> tuple:
+    """(line numbers, shape, bytes, writeable) of what `read` returns, or (class, message) of what it raises."""
+    try:
+        linenos, data = read(path)
+    except Exception as e:
+        return type(e), str(e)
+    return linenos, data.shape, data.tobytes(), data.flags.writeable
 
 
 def oracle_panel_bytes(path, values: np.ndarray) -> bytes:
@@ -111,6 +141,32 @@ class TestAdoption:
         panel = load_panel_csv(path)
         assert panel.values is read[0][1]
         assert panel.values.tobytes() == values.tobytes()
+
+
+class TestStreaming:
+    """The streaming reader against the list-based one it replaced: same result or same error, in less memory."""
+
+    def test_reader_holds_no_field_list_of_the_whole_file(self, tmp_path, rng):
+        # the benchmark's larger panel: a reader holding every field as a string peaks near 130 bytes a field,
+        # the text, its lines and one row's fields near 60
+        path = tmp_path / "v.csv"
+        save_panel_csv(path, DataPanel(rng.standard_normal((150, 500))))
+        tracemalloc.start()
+        try:
+            load_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 150 * 500
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(text=csv_texts())
+    # a fault before a quoted field past csv's field size limit: the tokenizer's error comes first in both
+    @example(text='h,h\n1,x\n"' + "1" * 200_000 + '",2\n')
+    def test_matches_the_reference_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_text(text)
+        assert read_outcome(_read_matrix, path) == read_outcome(read_matrix_reference, path)
 
 
 class TestTokenizers:
